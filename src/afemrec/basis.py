@@ -25,6 +25,12 @@ With these conventions the vector bases satisfy the duality relations
 and the decompositions ``rt_k = bdm_{s,k} + bdm_{e,k}`` and
 ``ne_k = nd_{s,k} - nd_{e,k}`` hold pointwise.
 
+This module is the single home of the vertex-vector forms and of the exact
+weighted Gram integrals: the batched kernel ``_vertex_vectors`` serves the
+mixed solver and the recoveries, ``_weighted_gram`` their mass and Gram
+blocks, and ``_weighted_norm_sq`` the element indicators; the per-frame
+functions below are thin wrappers of them.
+
 All functions here are pure and safe for unrestricted concurrent use.
 """
 
@@ -160,6 +166,40 @@ class LocalBasisId:
             raise BasisError(f"{fam} basis carries no endpoint")
 
 
+def _vertex_vectors(family, x, k, s, e, h, area, grad_lambda, sign=1.0):
+    """Batched vertex-coefficient form of the edge bases of ``m`` triangles.
+
+    Each triangle contributes the basis of the edge opposite its local vertex
+    ``k`` oriented from local vertex ``s`` to ``e`` (``(k+1) % 3`` and
+    ``(k+2) % 3`` give the conventions above; swapping them gives the
+    neighbour's view of a shared edge).  ``x`` (m, 3, 2) holds the vertices,
+    ``grad_lambda`` (m, 3, 2) the barycentric gradients, ``h`` and ``area``
+    (m,) the edge length and triangle area; ``sign`` (scalar or (m,))
+    multiplies the field.  Returns ``C`` of shape (m, ndof, 3, 2) with the
+    dof-``d`` field ``sum_v lambda_v C[:, d, v]``; ``ndof`` is 1 for rt/ne
+    and 2 (endpoint s, then e) for bdm/nd.
+    """
+    m = len(k)
+    rows = np.arange(m)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), (m,))[:, None]
+    ndof = 1 if family in ("rt", "ne") else 2
+    C = np.zeros((m, ndof, 3, 2))
+    if family in ("rt", "bdm"):
+        # (x - x_k) / H_k restricted to the two edge vertices
+        H = 2.0 * area / h
+        cs = sign * (x[rows, s] - x[rows, k]) / H[:, None]
+        ce = sign * (x[rows, e] - x[rows, k]) / H[:, None]
+    else:
+        # ne = h_k (lambda_s grad lambda_e - lambda_e grad lambda_s); nd keeps
+        # the two terms apart, both with a plus sign
+        sh = sign * h[:, None]
+        cs = sh * grad_lambda[rows, e]
+        ce = (-sh if family == "ne" else sh) * grad_lambda[rows, s]
+    C[rows, 0, s] = cs
+    C[rows, ndof - 1, e] = ce
+    return C
+
+
 def basis_vertex_vectors(frame: LocalTriangleFrame, basis: LocalBasisId) -> np.ndarray:
     """Vertex-coefficient form of a vector basis function.
 
@@ -170,24 +210,17 @@ def basis_vertex_vectors(frame: LocalTriangleFrame, basis: LocalBasisId) -> np.n
     if basis.family not in VECTOR_FAMILIES:
         raise BasisError("vertex-vector form only exists for vector families")
     k = basis.edge
-    s, e = frame.edge_start(k), frame.edge_end(k)
-    c = np.zeros((3, 2))
-    if basis.family == "rt":
-        # (x - x_k) / H_k
-        for v in (s, e):
-            c[v] = (frame.x[v] - frame.x[k]) / frame.height[k]
-    elif basis.family == "bdm":
-        v = s if basis.endpoint == "s" else e
-        c[v] = (frame.x[v] - frame.x[k]) / frame.height[k]
-    elif basis.family == "ne":
-        c[s] = frame.edge_length[k] * frame.grad_lambda[e]
-        c[e] = -frame.edge_length[k] * frame.grad_lambda[s]
-    else:  # nd
-        if basis.endpoint == "s":
-            c[s] = frame.edge_length[k] * frame.grad_lambda[e]
-        else:
-            c[e] = frame.edge_length[k] * frame.grad_lambda[s]
-    return c
+    C = _vertex_vectors(
+        basis.family,
+        frame.x[None],
+        np.array([k]),
+        np.array([frame.edge_start(k)]),
+        np.array([frame.edge_end(k)]),
+        frame.edge_length[[k]],
+        np.array([frame.area]),
+        frame.grad_lambda[None],
+    )
+    return C[0, 1 if basis.endpoint == "e" else 0]
 
 
 def eval_local_basis(frame: LocalTriangleFrame, basis: LocalBasisId, point):
@@ -238,20 +271,44 @@ def _check_spd_2x2(M: np.ndarray) -> np.ndarray:
     return M
 
 
+# int_K lambda_v lambda_w dx / |K|
+_P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _weighted_gram(W, C, area):
+    """Exact weighted Gram blocks of vertex-vector fields on ``m`` triangles.
+
+    ``W`` (m, 2, 2) constant weights, ``C`` (m, n, 3, 2) fields in
+    vertex-coefficient form, ``area`` (m,).  Returns ``G`` (m, n, n) with
+    ``G[:, a, b] = int_K (W phi_a) . phi_b``; the integrand is quadratic, so
+    ``int lambda_v lambda_w = |K| (1 + delta_vw) / 12`` makes this exact.
+    """
+    WC = np.einsum("mij,mavj->mavi", W, C, optimize=True)
+    G = np.einsum("mavi,vw,mbwi->mab", WC, _P1_MASS, C, optimize=True)
+    G *= area[:, None, None]
+    return G
+
+
+def _weighted_norm_sq(W, C, area):
+    """(m,) exact ``int_K (W v) . v`` of one vertex-vector field ``C``
+    (m, 3, 2) per triangle.
+
+    The one-field case of :func:`_weighted_gram`, summed in its own order:
+    the element indicators, and through the bulk marking every adaptive
+    mesh, depend on these bits, and the Gram order moves them by an ulp,
+    which flips picks between tied elements and changes later meshes.
+    """
+    q = np.einsum("mij,mvj,mwi->mvw", W, C, C)
+    return np.einsum("mvw,vw->m", q, _P1_MASS) * area
+
+
 def weighted_mass_entry(
     frame: LocalTriangleFrame,
     M,
     id_a: LocalBasisId,
     id_b: LocalBasisId,
 ) -> float:
-    """Exact ``integral_K (M phi_a) . phi_b dx`` for constant SPD ``M``.
-
-    The integrand is quadratic, so the vertex-coefficient expansion with
-    ``int lambda_v lambda_w = |K| (1 + delta_vw) / 12`` integrates it exactly.
-    """
+    """Exact ``integral_K (M phi_a) . phi_b dx`` for constant SPD ``M``."""
     M = _check_spd_2x2(M)
-    ca = basis_vertex_vectors(frame, id_a)
-    cb = basis_vertex_vectors(frame, id_b)
-    q = (M @ ca.T).T @ cb.T  # q[v, w] = (M ca_v) . cb_w
-    mass = frame.area * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return float((q * mass).sum())
+    C = np.stack([basis_vertex_vectors(frame, id_a), basis_vertex_vectors(frame, id_b)])
+    return float(_weighted_gram(M[None], C[None], np.array([frame.area]))[0, 0, 1])

@@ -13,6 +13,7 @@ codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,17 +101,7 @@ def main(argv=None) -> int:
     config = parse_cli(argv)
     try:
         problem = get_problem(config.afem.problem)
-        cfg = AfemConfig(
-            problem=problem,
-            method=config.afem.method,
-            family=config.afem.family,
-            theta=config.afem.theta,
-            max_dof=config.afem.max_dof,
-            c1=config.afem.c1,
-            initial_n=config.afem.initial_n,
-            uniform=config.afem.uniform,
-        )
-        history = run_afem(cfg)
+        history = run_afem(dataclasses.replace(config.afem, problem=problem))
     except (SolverError, RecoveryError, ProblemError, np.linalg.LinAlgError) as exc:
         print(f"afemrec: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
-from .recovery import RecoveredField
+from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _weighted_norm_sq
+from .mesh import INTERIOR, NEUMANN, Mesh
+from .recovery import RecoveredField, compute_jumps
 from .solvers import CoefficientField, DiscreteSolution, EdgeTraces, mixed_flux_at
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "oscillation",
     "true_energy_error",
 ]
-
-_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
 
 @dataclass
 class IndicatorSet:
@@ -62,15 +59,10 @@ class IndicatorSet:
         return self.eta_global
 
 
-def _element_quadratic_norms(mesh: Mesh, W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(nt,) exact values of ``int_K (W v) . v`` for ``v = sum lambda_v C_v``."""
-    q = np.einsum("tij,tvj,twi->tvw", W, C, C)
-    return np.einsum("tvw,vw->t", q, _MASS) * mesh.tri_area
-
-
 def _field_element_sq(mesh: Mesh, A: CoefficientField, fld: RecoveredField):
+    """(nt,) squared weighted norms of the correction field per element."""
     W = A.inv if fld.kind == "flux" else A.tensor
-    return _element_quadratic_norms(mesh, W, fld.correction_vertex_vectors())
+    return _weighted_norm_sq(W, fld.correction_vertex_vectors(), mesh.tri_area)
 
 
 def _field_edge_sq(fld: RecoveredField) -> np.ndarray:
@@ -154,49 +146,25 @@ def residual_edge_estimator(
     elements (reported for analysis; the global value is the edge sum).
     """
     alpha = A.require_scalar()
-    if traces.method != method:
-        raise ValueError(f"traces are for {traces.method!r}, not {method!r}")
+    jumps = compute_jumps(mesh, A, traces, method)
     lab = mesh.edge_label
     h = mesh.edge_length
     am = alpha[mesh.edge_tris[:, 0]]
     has_plus = mesh.edge_tris[:, 1] >= 0
     ap = np.where(has_plus, alpha[np.maximum(mesh.edge_tris[:, 1], 0)], am)
-    sq = np.zeros(mesh.n_edges)
 
     if method == "conforming":
-        jf = np.where(
-            lab == INTERIOR,
-            traces.flux_minus - np.where(has_plus, traces.flux_plus, 0.0),
-            np.where(lab == NEUMANN, traces.flux_minus - traces.g_neumann, 0.0),
-        )
+        jf = np.where(jumps.flux_mask, jumps.flux, 0.0)
         denom = np.where(lab == INTERIOR, am + ap, am)
-        val = np.where(lab == DIRICHLET, 0.0, h * jf / np.sqrt(denom))
-        sq = val**2
+        sq = (h * jf / np.sqrt(denom)) ** 2
     elif method == "mixed":
-        cs = np.where(
-            lab == INTERIOR,
-            traces.d_s_minus - np.where(has_plus, traces.d_s_plus, 0.0),
-            np.where(lab == DIRICHLET, traces.d_s_minus - traces.dgD_dt, 0.0),
-        )
-        ce = np.where(
-            lab == INTERIOR,
-            traces.d_e_minus - np.where(has_plus, traces.d_e_plus, 0.0),
-            np.where(lab == DIRICHLET, traces.d_e_minus - traces.dgD_dt, 0.0),
-        )
+        cs, ce = np.where(jumps.grad_mask[:, None], jumps.grad_affine, 0.0).T
         # int_F j^2 for the affine jump with endpoint values (cs, ce)
         int_j2 = h * (cs**2 + cs * ce + ce**2) / 3.0
         sq = np.where(lab == NEUMANN, 0.0, 0.5 * (am + ap) * h * int_j2)
     elif method == "nonconforming":
-        jf = np.where(
-            lab == INTERIOR,
-            traces.flux_minus - np.where(has_plus, traces.flux_plus, 0.0),
-            np.where(lab == NEUMANN, traces.flux_minus - traces.g_neumann, 0.0),
-        )
-        jg = np.where(
-            lab == INTERIOR,
-            traces.rho_minus - np.where(has_plus, traces.rho_plus, 0.0),
-            np.where(lab == DIRICHLET, traces.rho_minus - traces.dgD_dt, 0.0),
-        )
+        jf = np.where(jumps.flux_mask, jumps.flux, 0.0)
+        jg = np.where(jumps.grad_mask, jumps.grad, 0.0)
         sq = np.where(
             lab == INTERIOR,
             2.0 * h**2 / (am + ap) * jf**2 + h**2 * am * ap / (am + ap) * jg**2,

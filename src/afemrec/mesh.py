@@ -71,6 +71,10 @@ class Mesh:
     tri_area, tri_diam : (nt,) float
     grad_lambda : (nt, 3, 2) float gradients of the barycentric coordinates
     vertex_label : (nv,) int vertex classification (Dirichlet wins at corners)
+
+    ``label_of_key`` is the boundary-label table ``(keys, labels)``: sorted
+    edge keys ``min(a, b) * nv + max(a, b)`` of vertex-id pairs and their
+    DIRICHLET / NEUMANN labels.  Every boundary edge must be listed.
     """
 
     def __init__(
@@ -141,31 +145,19 @@ class Mesh:
         sb = ukeys % nv
         boundary = ~two
 
-        # labels: either a callable on vertex-id pairs or a vectorized
-        # (sorted_keys, labels) table keyed like ukeys
+        # labels: the sorted (keys, labels) table is keyed like ukeys
         label = np.zeros(ne, dtype=np.int64)
         bidx = np.flatnonzero(boundary)
-        if isinstance(label_of_key, tuple):
-            lkeys, lvals = label_of_key
-            if len(lkeys):
-                pos = np.minimum(np.searchsorted(lkeys, ukeys[bidx]), len(lkeys) - 1)
-                found = lkeys[pos] == ukeys[bidx]
-            else:
-                found = np.zeros(len(bidx), dtype=bool)
-            if not found.all():
-                miss = bidx[np.flatnonzero(~found)[0]]
-                raise MeshError(
-                    f"boundary edge ({sa[miss]}, {sb[miss]}) has no D/N label"
-                )
+        lkeys, lvals = label_of_key
+        found = np.zeros(len(bidx), dtype=bool)
+        if len(lkeys):
+            pos = np.minimum(np.searchsorted(lkeys, ukeys[bidx]), len(lkeys) - 1)
+            found = lkeys[pos] == ukeys[bidx]
+            found &= np.isin(lvals[pos], (DIRICHLET, NEUMANN))
             label[bidx] = lvals[pos]
-        else:
-            for e in bidx:
-                lab = label_of_key(int(sa[e]), int(sb[e]))
-                if lab not in (DIRICHLET, NEUMANN):
-                    raise MeshError(
-                        f"boundary edge ({sa[e]}, {sb[e]}) has no D/N label"
-                    )
-                label[e] = lab
+        if not found.all():
+            miss = bidx[np.flatnonzero(~found)[0]]
+            raise MeshError(f"boundary edge ({sa[miss]}, {sb[miss]}) has no D/N label")
         if not np.any(label == DIRICHLET):
             raise MeshError("the Dirichlet boundary set must be nonempty")
 
@@ -384,20 +376,25 @@ def edge_patch(mesh: Mesh, F: int) -> EdgePatch:
     return EdgePatch(F, elements, boundary)
 
 
-def build_mesh(vertices, triangles, boundary_labeler=None, regions=None) -> Mesh:
-    """Build a mesh from raw vertex/triangle arrays.
+def _encode(a, b, base):
+    return np.minimum(a, b) * np.int64(base) + np.maximum(a, b)
 
-    Triangles may come in either orientation; they are flipped to
-    counterclockwise.  ``boundary_labeler(pa, pb)`` receives the endpoint
-    coordinates of a boundary edge and must return ``'D'`` or ``'N'``
-    (default: everything Dirichlet).  ``regions`` assigns per-triangle
-    coefficient-region ids (default all zero).  The initial bisection edge
-    of each triangle is its longest edge.
+
+def _prepare(vertices, triangles):
+    """Input step shared by :func:`build_mesh` and :func:`read_mesh_text`.
+
+    Checks the array shapes and vertex ids, flips clockwise triangles to
+    counterclockwise and takes each triangle's longest edge as its initial
+    bisection edge.  Returns ``(vertices, triangles, refinement_edge)``.
     """
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64).copy()
+    triangles = np.array(triangles, dtype=np.int64)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError("vertices must be an (nv, 2) array")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must be an (nt, 3) array")
+    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
+        raise MeshError("triangle references an unknown vertex")
 
     coords = vertices[triangles]
     d1 = coords[:, 1] - coords[:, 0]
@@ -410,25 +407,37 @@ def build_mesh(vertices, triangles, boundary_labeler=None, regions=None) -> Mesh
 
     coords = vertices[triangles]
     evec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-    elen = np.linalg.norm(evec, axis=2)
-    ref_local = elen.argmax(axis=1)
+    ref_local = np.linalg.norm(evec, axis=2).argmax(axis=1)
+    return vertices, triangles, ref_local
 
+
+def build_mesh(vertices, triangles, boundary_labeler=None, regions=None) -> Mesh:
+    """Build a mesh from raw vertex/triangle arrays.
+
+    Triangles may come in either orientation; they are flipped to
+    counterclockwise.  ``boundary_labeler(pa, pb)`` receives the endpoint
+    coordinates of a boundary edge and must return ``'D'`` or ``'N'``
+    (default: everything Dirichlet).  ``regions`` assigns per-triangle
+    coefficient-region ids (default all zero).  The initial bisection edge
+    of each triangle is its longest edge.
+    """
+    vertices, triangles, ref_local = _prepare(vertices, triangles)
+    nv = len(vertices)
+    keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
+    ukeys, counts = np.unique(keys, return_counts=True)
+    bkeys = ukeys[counts == 1]
+    if boundary_labeler is None:
+        labels = np.full(len(bkeys), DIRICHLET)
+    else:
+        code = {DIRICHLET: DIRICHLET, NEUMANN: NEUMANN, **_CHAR_LABEL}
+        labels = np.array(
+            [code.get(boundary_labeler(vertices[k // nv], vertices[k % nv]), -1)
+             for k in bkeys],
+            dtype=np.int64,
+        )
     if regions is None:
         regions = np.zeros(len(triangles), dtype=np.int64)
-
-    def label_of_key(a: int, b: int) -> int:
-        if boundary_labeler is None:
-            return DIRICHLET
-        lab = boundary_labeler(vertices[a], vertices[b])
-        if lab in (DIRICHLET, NEUMANN):
-            return lab
-        return _CHAR_LABEL.get(lab, -1)
-
-    return Mesh(vertices, triangles, regions, ref_local, label_of_key)
-
-
-def _encode(a, b, base):
-    return np.minimum(a, b) * np.int64(base) + np.maximum(a, b)
+    return Mesh(vertices, triangles, regions, ref_local, (bkeys, labels))
 
 
 def refine(mesh: Mesh, marked_elements) -> Mesh:
@@ -630,30 +639,16 @@ def read_mesh_text(path) -> Mesh:
             lab = next(it)
             if lab not in _CHAR_LABEL:
                 raise MeshError(f"unknown boundary label {lab!r}")
-            labels[(min(a, b), max(a, b))] = _CHAR_LABEL[lab]
+            if not (0 <= a < nv and 0 <= b < nv):
+                raise MeshError(f"boundary edge ({a}, {b}) references an unknown vertex")
+            labels[int(_encode(a, b, nv))] = _CHAR_LABEL[lab]
     except StopIteration:
         raise MeshError("truncated mesh file") from None
     except ValueError as exc:
         raise MeshError(f"malformed mesh file: {exc}") from None
 
     # vertex ids are preserved, so labels resolve directly by id pair
-    tris = tris.copy()
-    coords = vertices[tris]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(area2 == 0.0):
-        raise MeshError("mesh file contains a zero-area triangle")
-    flip = area2 < 0.0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    coords = vertices[tris]
-    evec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-    ref_local = np.linalg.norm(evec, axis=2).argmax(axis=1)
-
-    def label_of_key(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in labels:
-            raise MeshError("boundary edge with no label in mesh file")
-        return labels[key]
-
-    return Mesh(vertices, tris, regions, ref_local, label_of_key)
+    vertices, tris, ref_local = _prepare(vertices, tris)
+    lkeys = np.array(sorted(labels), dtype=np.int64)
+    lvals = np.array([labels[k] for k in lkeys], dtype=np.int64)
+    return Mesh(vertices, tris, regions, ref_local, (lkeys, lvals))

@@ -28,6 +28,12 @@ edge ``F`` with global endpoints ``s, e`` and opposite vertex ``o``::
     psi_nd_s = h * lambda_s grad lambda_e
     psi_nd_e = h * lambda_e grad lambda_s
 
+These are the edge bases of :mod:`afemrec.basis` seen from each side, and
+their Gram blocks come from its exact weighted Gram kernel.
+:func:`compute_jumps` is the single definition of the edge jumps; the
+mixed-method recovery, the oracle check and the residual estimators all
+read it.
+
 Every recovery is cross-checked (on a deterministic sample of edges, or all
 of them with ``validate="all"``) against :func:`local_oracle`, an
 independent constrained least-squares solve of the same patch minimization
@@ -45,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import _vertex_vectors, _weighted_gram
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
 from .solvers import CoefficientField, EdgeTraces
 
@@ -139,75 +146,30 @@ def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: s
 
 
 # ----------------------------------------------------------------------
-# per-side basis data and Gram blocks
+# per-side basis data
 
 
-def _side_frames(mesh: Mesh, side: int):
-    """Indices for the elements on one side of every edge (mask of rows
-    that actually have that side)."""
-    has = mesh.edge_tris[:, side] >= 0
-    eids = np.flatnonzero(has)
-    return eids, mesh.edge_tris[eids, side], mesh.edge_slot[eids, side], \
-        mesh.edge_loc_s[eids, side], mesh.edge_loc_e[eids, side]
+def _side_vectors(mesh: Mesh, family: str, side: int):
+    """Edge dofs restricted to the element on one side of each edge.
 
-
-def _psi_vertex_vectors(mesh: Mesh, family: str, side: int):
-    """Vertex-coefficient tensors of the edge dofs restricted to one side.
-
-    Returns ``(eids, C)`` where ``C`` has shape (m, ndof, 3, 2) and the dof
-    restricted to the side element is ``sum_v lambda_v C[., dof, v]``.
+    Returns ``(eids, tri, C)`` for the edges that have that side: ``tri``
+    the side elements and ``C`` (m, ndof, 3, 2) the vertex-vector form of
+    the dofs there (flux dofs carry ``sgn = -1`` on ``K+``).
     """
-    eids, tri, slot, loc_s, loc_e = _side_frames(mesh, side)
-    m = len(eids)
-    rows = np.arange(m)
-    coords = mesh.vertices[mesh.triangles[tri]]  # (m, 3, 2)
-    h = mesh.edge_length[eids]
-    H = 2.0 * mesh.tri_area[tri] / h
-    sgn = 1.0 if side == 0 else -1.0
-
-    if family in FLUX_FAMILIES:
-        opp = coords[rows, slot]  # (m, 2)
-        cs = sgn * (coords[rows, loc_s] - opp) / H[:, None]
-        ce = sgn * (coords[rows, loc_e] - opp) / H[:, None]
-        if family == "rt":
-            C = np.zeros((m, 1, 3, 2))
-            C[rows, 0, loc_s] = cs
-            C[rows, 0, loc_e] = ce
-        else:
-            C = np.zeros((m, 2, 3, 2))
-            C[rows, 0, loc_s] = cs
-            C[rows, 1, loc_e] = ce
-        return eids, C
-
-    gs = mesh.grad_lambda[tri, loc_s]  # (m, 2)
-    ge = mesh.grad_lambda[tri, loc_e]
-    if family == "ne":
-        C = np.zeros((m, 1, 3, 2))
-        C[rows, 0, loc_s] = h[:, None] * ge
-        C[rows, 0, loc_e] = -h[:, None] * gs
-    else:  # nd
-        C = np.zeros((m, 2, 3, 2))
-        C[rows, 0, loc_s] = h[:, None] * ge
-        C[rows, 1, loc_e] = h[:, None] * gs
-    return eids, C
-
-
-_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-
-def _side_gram(mesh: Mesh, A: CoefficientField, family: str, side: int):
-    """Weighted Gram blocks of the edge dofs on one side.
-
-    Weight is ``A^{-1}`` for flux families and ``A`` for gradient families.
-    Returns ``(eids, G)`` with ``G`` of shape (m, ndof, ndof).
-    """
-    eids, C = _psi_vertex_vectors(mesh, family, side)
+    eids = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
     tri = mesh.edge_tris[eids, side]
-    W = A.inv[tri] if family in FLUX_FAMILIES else A.tensor[tri]
-    WC = np.einsum("mij,mavj->mavi", W, C, optimize=True)
-    G = np.einsum("mavi,vw,mbwi->mab", WC, _MASS, C, optimize=True)
-    G *= mesh.tri_area[tri, None, None]
-    return eids, C, G
+    C = _vertex_vectors(
+        family,
+        mesh.vertices[mesh.triangles[tri]],
+        mesh.edge_slot[eids, side],
+        mesh.edge_loc_s[eids, side],
+        mesh.edge_loc_e[eids, side],
+        mesh.edge_length[eids],
+        mesh.tri_area[tri],
+        mesh.grad_lambda[tri],
+        sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
+    )
+    return eids, tri, C
 
 
 @dataclass
@@ -263,8 +225,9 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
     ne = mesh.n_edges
     gram = np.zeros((ne, 2, ndof, ndof))
     for side in (0, 1):
-        eids, _, G = _side_gram(mesh, A, family, side)
-        gram[eids, side] = G
+        eids, tri, C = _side_vectors(mesh, family, side)
+        W = A.inv[tri] if family in FLUX_FAMILIES else A.tensor[tri]
+        gram[eids, side] = _weighted_gram(W, C, mesh.tri_area[tri])
     has_plus = mesh.edge_tris[:, 1] >= 0
 
     interior = mesh.edge_label == INTERIOR
@@ -344,8 +307,7 @@ class RecoveredField:
         mesh = self.mesh
         out = np.zeros((mesh.n_triangles, 3, 2))
         for side in (0, 1):
-            eids, C = _psi_vertex_vectors(mesh, self.family, side)
-            tri = mesh.edge_tris[eids, side]
+            eids, tri, C = _side_vectors(mesh, self.family, side)
             vals = side_coef[eids, side]
             if self.ndof == 1:
                 contrib = vals[:, None, None] * C[:, 0]
@@ -405,8 +367,7 @@ def recover(
     edges ("sample", default), every edge ("all"), or not at all (False).
     """
     _require_pair(method, family)
-    if traces.method != method:
-        raise ValueError(f"traces are for {traces.method!r}, not {method!r}")
+    jumps = compute_jumps(mesh, A, traces, method)
     w = patch_weights(mesh, A, family)
     lab = mesh.edge_label
     interior = lab == INTERIOR
@@ -463,8 +424,7 @@ def recover(
             num[:, 0, 1] = -dem
             num[:, 1, 0] = dsp
             num[:, 1, 1] = -dep
-            cs = np.where(interior, dsm - dsp, dsm - traces.dgD_dt)
-            ce = np.where(interior, dem - dep, dem - traces.dgD_dt)
+            cs, ce = jumps.grad_affine.T
             R = w.nd_response
             xs = R[:, 0, 0] * cs + R[:, 0, 1] * ce
             xe = R[:, 1, 0] * cs + R[:, 1, 1] * ce
@@ -512,7 +472,7 @@ def recover(
         weights=w,
     )
     if validate:
-        _validate_against_oracle(fld, A, traces, mode=validate)
+        _validate_against_oracle(fld, A, jumps, mode=validate)
     return fld
 
 
@@ -700,37 +660,17 @@ def local_oracle(mesh: Mesh, A: CoefficientField, F: int, jump, family: str) -> 
     )
 
 
-def _oracle_jump_for(fld: RecoveredField, traces: EdgeTraces, F: int):
-    lab = int(fld.mesh.edge_label[F])
+def _oracle_jumps(fld: RecoveredField, jumps: JumpSet) -> np.ndarray:
+    """Per-edge jump argument of :func:`local_oracle` for the field's kind,
+    zero on the edges where that jump is not defined."""
     if fld.kind == "flux":
-        if lab == DIRICHLET:
-            return 0.0
-        if lab == NEUMANN:
-            return traces.flux_minus[F] - traces.g_neumann[F]
-        return traces.flux_minus[F] - traces.flux_plus[F]
+        return np.where(jumps.flux_mask, jumps.flux, 0.0)
     if fld.method == "mixed":
-        if lab == NEUMANN:
-            return (0.0, 0.0)
-        if lab == DIRICHLET:
-            return (
-                traces.d_s_minus[F] - traces.dgD_dt[F],
-                traces.d_e_minus[F] - traces.dgD_dt[F],
-            )
-        return (
-            traces.d_s_minus[F] - traces.d_s_plus[F],
-            traces.d_e_minus[F] - traces.d_e_plus[F],
-        )
-    # nonconforming gradient
-    if lab == NEUMANN:
-        return 0.0
-    if lab == DIRICHLET:
-        j = traces.rho_minus[F] - traces.dgD_dt[F]
-    else:
-        j = traces.rho_minus[F] - traces.rho_plus[F]
-    return (j, j) if fld.family == "nd" else j
+        return np.where(jumps.grad_mask[:, None], jumps.grad_affine, 0.0)
+    return np.where(jumps.grad_mask, jumps.grad, 0.0)
 
 
-def _validate_against_oracle(fld: RecoveredField, A, traces, mode="sample"):
+def _validate_against_oracle(fld: RecoveredField, A, jumps: JumpSet, mode="sample"):
     mesh = fld.mesh
     ne = mesh.n_edges
     if mode == "all":
@@ -739,8 +679,9 @@ def _validate_against_oracle(fld: RecoveredField, A, traces, mode="sample"):
         step = max(1, ne // 64)
         sample = np.arange(0, ne, step)
     scale = max(np.abs(fld.correction_side).max(), np.abs(fld.coef).max(), 1e-30)
+    jump = _oracle_jumps(fld, jumps)
     for F in sample:
-        ora = local_oracle(mesh, A, int(F), _oracle_jump_for(fld, traces, int(F)), fld.family)
+        ora = local_oracle(mesh, A, int(F), jump[F], fld.family)
         mine = np.atleast_1d(fld.correction_side[F, 0])
         diff = np.abs(mine - ora.corr_minus).max()
         if ora.corr_plus is not None:

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .basis import _vertex_vectors, _weighted_gram
 from .mesh import Mesh
 
 __all__ = [
@@ -215,24 +216,49 @@ def _dirichlet_tangential_slope(mesh: Mesh, data: ProblemData) -> np.ndarray:
     return dg
 
 
-def _check_residual(mat, x, rhs, what):
+def _solve_checked(mat, rhs, what):
+    """Sparse direct solve held to finite values and a 1e-10 relative
+    residual."""
+    x = spla.spsolve(mat, rhs)
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{what} solve returned non-finite values")
     res = mat @ x - rhs
-    scale = max(np.linalg.norm(rhs), 1e-30)
-    rel = np.linalg.norm(res) / scale
+    rel = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-30)
     if not np.isfinite(rel) or rel > 1e-10:
         raise SolverError(f"{what} residual {rel:.3e} exceeds 1e-10")
+    return x
+
+
+def _assemble(local, dofs, n):
+    """Sparse (n, n) matrix from element blocks ``local`` (nt, 3, 3) on the
+    element dof map ``dofs`` (nt, 3)."""
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _p1_stiffness(mesh: Mesh, A: CoefficientField) -> np.ndarray:
+    """(nt, 3, 3) element blocks ``int_K A grad lambda_m . grad lambda_l``."""
+    g = mesh.grad_lambda  # (nt, 3, 2)
+    Ag = np.einsum("tij,tlj->tli", A.tensor, g)
+    return np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[:, None, None]
+
+
+def _solve_dirichlet(K, b, u, fixed, what):
+    """Solve ``K u = b`` for the dofs not in ``fixed``, whose values ``u``
+    already holds; returns ``u``."""
+    free = np.setdiff1d(np.arange(len(b)), fixed)
+    if free.size:
+        Kff = K[free][:, free].tocsc()
+        rhs = b[free] - K[free][:, fixed] @ u[fixed]
+        u[free] = _solve_checked(Kff, rhs, what)
+    return u
 
 
 def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
     """P1 Galerkin solution with Dirichlet interpolation at vertices."""
-    nt, nv = mesh.n_triangles, mesh.n_vertices
-    g = mesh.grad_lambda  # (nt, 3, 2)
-    Ag = np.einsum("tij,tlj->tli", A.tensor, g)
-    local = np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[:, None, None]
-
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    nv = mesh.n_vertices
+    K = _assemble(_p1_stiffness(mesh, A), mesh.triangles, nv)
 
     b = np.zeros(nv)
     fm = _rhs_midpoint_rule(mesh, data.f)  # (nt, 3)
@@ -251,28 +277,15 @@ def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> Disc
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
     u[fixed] = _eval(data.g_D, mesh.vertices[fixed])
-    free = np.setdiff1d(np.arange(nv), fixed)
-    if free.size:
-        Kff = K[free][:, free].tocsc()
-        rhs = b[free] - K[free][:, fixed] @ u[fixed]
-        uf = spla.spsolve(Kff, rhs)
-        if not np.all(np.isfinite(uf)):
-            raise SolverError("conforming solve returned non-finite values")
-        _check_residual(Kff, uf, rhs, "conforming")
-        u[free] = uf
+    u = _solve_dirichlet(K, b, u, fixed, "conforming")
     return DiscreteSolution(method="conforming", mesh=mesh, u_vertex=u)
 
 
 def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
     """Crouzeix-Raviart solution with midpoint Dirichlet interpolation."""
-    nt, ne = mesh.n_triangles, mesh.n_edges
-    g = mesh.grad_lambda
-    Ag = np.einsum("tij,tlj->tli", A.tensor, g)
-    local = 4.0 * np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[:, None, None]
-
-    rows = np.repeat(mesh.tri_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.tri_edges, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+    ne = mesh.n_edges
+    # grad of the CR basis on edge l is -2 grad lambda_l
+    K = _assemble(4.0 * _p1_stiffness(mesh, A), mesh.tri_edges, ne)
 
     b = np.zeros(ne)
     fm = _rhs_midpoint_rule(mesh, data.f)
@@ -287,28 +300,8 @@ def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> D
     u = np.zeros(ne)
     fixed = mesh.dirichlet_edges
     u[fixed] = _eval(data.g_D, mesh.edge_midpoints()[fixed])
-    free = np.setdiff1d(np.arange(ne), fixed)
-    if free.size:
-        Kff = K[free][:, free].tocsc()
-        rhs = b[free] - K[free][:, fixed] @ u[fixed]
-        uf = spla.spsolve(Kff, rhs)
-        if not np.all(np.isfinite(uf)):
-            raise SolverError("nonconforming solve returned non-finite values")
-        _check_residual(Kff, uf, rhs, "nonconforming")
-        u[free] = uf
+    u = _solve_dirichlet(K, b, u, fixed, "nonconforming")
     return DiscreteSolution(method="nonconforming", mesh=mesh, u_edge=u)
-
-
-def _rt_vertex_vectors(mesh: Mesh) -> np.ndarray:
-    """(nt, 3, 3, 2): RT basis of local edge l as sum_v lambda_v c[l, v]."""
-    coords = mesh.tri_coords()
-    h = mesh.edge_length[mesh.tri_edges]  # (nt, 3)
-    H = 2.0 * mesh.tri_area[:, None] / h  # (nt, 3)
-    c = (coords[:, None, :, :] - coords[:, :, None, :]) / H[:, :, None, None]
-    # zero out v == l (the opposite vertex itself)
-    eye = np.eye(3, dtype=bool)
-    c[:, eye] = 0.0
-    return c
 
 
 def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
@@ -318,23 +311,25 @@ def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteS
     equation enforces elementwise ``div sigma = mean(f)`` exactly.
     """
     nt, ne = mesh.n_triangles, mesh.n_edges
-    c = _rt_vertex_vectors(mesh) * mesh.tri_edge_sign[:, :, None, None]
-    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Wc = np.einsum("tij,tlvj->tlvi", A.inv, c, optimize=True)
-    Mloc = np.einsum("tlvi,vw,tmwi->tlm", Wc, mass, c, optimize=True)
-    Mloc *= mesh.tri_area[:, None, None]
-
-    rows = np.repeat(mesh.tri_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.tri_edges, (1, 3)).ravel()
-    M = sp.coo_matrix((Mloc.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+    # RT basis of every local edge l, signed so that it measures n_F
+    opp = np.tile(np.arange(3), nt)
+    tri = np.repeat(np.arange(nt), 3)
+    c = _vertex_vectors(
+        "rt",
+        mesh.vertices[mesh.triangles[tri]],
+        opp,
+        (opp + 1) % 3,
+        (opp + 2) % 3,
+        mesh.edge_length[mesh.tri_edges].ravel(),
+        mesh.tri_area[tri],
+        None,
+        sign=mesh.tri_edge_sign.ravel(),
+    ).reshape(nt, 3, 3, 2)
+    M = _assemble(_weighted_gram(A.inv, c, mesh.tri_area), mesh.tri_edges, ne)
 
     div = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]  # (nt,3) * h
     B = sp.coo_matrix(
-        (
-            div.ravel(),
-            (np.repeat(np.arange(nt), 3), mesh.tri_edges.ravel()),
-        ),
-        shape=(nt, ne),
+        (div.ravel(), (tri, mesh.tri_edges.ravel())), shape=(nt, ne)
     ).tocsr()
 
     G = np.zeros(ne)
@@ -357,10 +352,7 @@ def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteS
     rhs2 = Fv - (B[:, fixed] @ sigma[fixed] if fixed.size else 0.0)
     S = sp.bmat([[Mf, -Bf.T], [Bf, None]], format="csc")
     rhs = np.concatenate([rhs1, rhs2])
-    x = spla.spsolve(S, rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("mixed solve returned non-finite values")
-    _check_residual(S, x, rhs, "mixed")
+    x = _solve_checked(S, rhs, "mixed")
     sigma[free] = x[: free.size]
     u = x[free.size:]
     return DiscreteSolution(method="mixed", mesh=mesh, flux_edge=sigma, u_tri=u)

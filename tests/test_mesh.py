@@ -264,9 +264,21 @@ def test_mesh_text_rejects_missing_label(tmp_path):
 
 def test_mesh_text_rejects_malformed(tmp_path):
     path = tmp_path / "bad2.txt"
-    path.write_text("3 1 1\n0 0\n1 0\n0 1\n0 1 D\n")
+    for text in (
+        "3 1 1\n0 0\n1 0\n0 1\n0 1 D\n",
+        "3 1 1\n0 0\n1 0\n0 1\n0 1 7 0\n0 1 D\n",
+        # (0, 5) must not alias the edge (1, 2) of a 3-vertex mesh
+        "3 1 4\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n0 5 N\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(MeshError):
+            read_mesh_text(path)
+
+
+@pytest.mark.parametrize("tri", [[0, 1, 7], [0, 1, -1]])
+def test_build_rejects_unknown_vertex(tri):
     with pytest.raises(MeshError):
-        read_mesh_text(path)
+        build_mesh([[0, 0], [1, 0], [0, 1]], [tri])
 
 
 def test_unit_square_mesh():

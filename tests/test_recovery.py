@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from afemrec import recovery
 from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
 from afemrec.recovery import (
+    RecoveryError,
     compute_jumps,
     local_oracle,
     patch_weights,
@@ -440,3 +442,35 @@ def test_recover_rejects_bad_pair(square2):
         recover(square2, A, tr, "conforming", "nd")
     with pytest.raises(ValueError):
         recover(square2, A, tr, "mixed", "nd")  # traces/method mismatch
+
+
+@pytest.mark.parametrize(
+    "method,family,weight",
+    [
+        ("conforming", "rt", ("a_rt",)),
+        ("conforming", "bdm", ("a_bdm",)),
+        ("nonconforming", "ne", ("a_ne",)),
+        ("nonconforming", "nd", ("nd_response", 0, 0)),
+        ("mixed", "nd", ("nd_response", 0, 0)),
+    ],
+)
+def test_oracle_catches_perturbed_weight(monkeypatch, method, family, weight):
+    # the oracle is independent of the closed-form weights ...
+    assert "patch_weights" not in recovery.local_oracle.__code__.co_names
+    mesh, A, data = _interface_problem()
+    sol, tr = _solve(mesh, A, data, method)
+    fld = recover(mesh, A, tr, method, family, validate="all")
+    # ... so one weight off by 1e-6 relative, on the interior edge with the
+    # largest correction, must be caught
+    size = np.abs(fld.correction_side).reshape(mesh.n_edges, -1).max(axis=1)
+    F = int(mesh.interior_edges[np.argmax(size[mesh.interior_edges])])
+    exact_weights = recovery.patch_weights
+
+    def perturbed(mesh_, A_, family_):
+        w = exact_weights(mesh_, A_, family_)
+        getattr(w, weight[0])[(F,) + weight[1:]] *= 1.0 + 1e-6
+        return w
+
+    monkeypatch.setattr(recovery, "patch_weights", perturbed)
+    with pytest.raises(RecoveryError):
+        recover(mesh, A, tr, method, family, validate="all")
