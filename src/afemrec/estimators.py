@@ -68,11 +68,8 @@ def _field_element_sq(mesh: Mesh, A: CoefficientField, fld: RecoveredField):
 def _field_edge_sq(fld: RecoveredField) -> np.ndarray:
     """(ne,) squared patch norms of the single-edge corrections."""
     gram = fld.weights.gram  # (ne, 2, d, d)
-    corr = fld.correction_side
-    if corr.ndim == 2:
-        corr = corr[:, :, None]
-    vals = np.einsum("nsd,nsde,nse->n", corr, gram, corr)
-    return vals
+    corr = fld.correction_side.reshape(gram.shape[:3])
+    return np.einsum("nsd,nsde,nse->n", corr, gram, corr)
 
 
 def indicators(
@@ -94,33 +91,29 @@ def indicators(
             raise ValueError("field belongs to a different mesh")
 
     if len(fields) == 1:
-        fld = fields[0]
+        (fld,) = fields
         if family is not None and family != fld.family:
             raise ValueError(f"field family {fld.family!r} does not match {family!r}")
-        el_sq = _field_element_sq(mesh, A, fld)
-        ed_sq = _field_edge_sq(fld)
-        return IndicatorSet(
-            method=method,
-            family=fld.family,
-            eta_elements=np.sqrt(np.maximum(el_sq, 0.0)),
-            eta_edges=np.sqrt(np.maximum(ed_sq, 0.0)),
-            eta_global=float(np.sqrt(max(el_sq.sum(), 0.0))),
-        )
-
-    if len(fields) != 2 or method != "nonconforming":
-        raise ValueError("a field pair is only defined for the nonconforming method")
-    flux = next((f for f in fields if f.kind == "flux"), None)
-    grad = next((f for f in fields if f.kind == "gradient"), None)
-    if flux is None or grad is None:
-        raise ValueError("the pair must hold one flux and one gradient recovery")
-    c1, c2 = float(c[0]), float(c[1])
-    if not (0.0 < c1 < 1.0 and 0.0 < c2 < 1.0 and abs(c1 + c2 - 1.0) < 1e-14):
-        raise ValueError("combination weights must lie in (0,1) and sum to 1")
-    el_sq = c1 * _field_element_sq(mesh, A, flux) + c2 * _field_element_sq(mesh, A, grad)
-    ed_sq = c1 * _field_edge_sq(flux) + c2 * _field_edge_sq(grad)
+        c1 = c2 = None
+        parts = ((1.0, fld),)
+        label = fld.family
+    else:
+        if len(fields) != 2 or method != "nonconforming":
+            raise ValueError("a field pair is only defined for the nonconforming method")
+        flux = next((f for f in fields if f.kind == "flux"), None)
+        grad = next((f for f in fields if f.kind == "gradient"), None)
+        if flux is None or grad is None:
+            raise ValueError("the pair must hold one flux and one gradient recovery")
+        c1, c2 = float(c[0]), float(c[1])
+        if not (0.0 < c1 < 1.0 and 0.0 < c2 < 1.0 and abs(c1 + c2 - 1.0) < 1e-14):
+            raise ValueError("combination weights must lie in (0,1) and sum to 1")
+        parts = ((c1, flux), (c2, grad))
+        label = f"{flux.family}-{grad.family}"
+    el_sq = sum(wt * _field_element_sq(mesh, A, f) for wt, f in parts)
+    ed_sq = sum(wt * _field_edge_sq(f) for wt, f in parts)
     return IndicatorSet(
         method=method,
-        family=f"{flux.family}-{grad.family}",
+        family=label,
         eta_elements=np.sqrt(np.maximum(el_sq, 0.0)),
         eta_edges=np.sqrt(np.maximum(ed_sq, 0.0)),
         eta_global=float(np.sqrt(max(el_sq.sum(), 0.0))),

@@ -5,9 +5,15 @@ gradients (NE, ND families) from the side traces of a discrete solution.
 Each interior edge carries a local two-element patch problem: subtract a
 jump-lifting field and minimize the weighted L2 norm over the patch
 functions with zero outer trace.  These local problems have one (RT, NE) or
-two (BDM, ND) unknowns, so the recovered coefficients are closed-form
-weighted averages of the side traces; the weights come from 1x1 or 2x2
-normal equations solved by Cramer's rule.
+two (BDM, ND) unknowns, and every family has the same closed-form answer:
+with ``G-, G+`` the weighted Gram blocks of the edge dofs on the two sides
+and ``t-, t+`` the dof values of the side traces, the recovered dofs are
+
+    P t- + (I - P) t+,        P = (G- + G+)^{-1} G-,
+
+where the 1x1 or 2x2 inverse is taken by Cramer's rule.  Boundary dofs take
+the Neumann (flux) or Dirichlet (gradient) data, or keep the numerical
+trace on the other boundary edges.
 
 Supported (method, family) pairs::
 
@@ -29,15 +35,16 @@ edge ``F`` with global endpoints ``s, e`` and opposite vertex ``o``::
     psi_nd_e = h * lambda_e grad lambda_s
 
 These are the edge bases of :mod:`afemrec.basis` seen from each side, and
-their Gram blocks come from its exact weighted Gram kernel.
-:func:`compute_jumps` is the single definition of the edge jumps; the
-mixed-method recovery, the oracle check and the residual estimators all
-read it.
+their Gram blocks come from its exact weighted Gram kernel.  One trace
+table (``_side_traces``) feeds both the recovery and :func:`compute_jumps`,
+the single definition of the edge jumps that the oracle check and the
+residual estimators read.
 
 Every recovery is cross-checked (on a deterministic sample of edges, or all
 of them with ``validate="all"``) against :func:`local_oracle`, an
 independent constrained least-squares solve of the same patch minimization
-built from raw monomial element spaces.  A mismatch raises
+built from raw monomial element spaces.  A deviation above 1e-11 times the
+edge's own scale (its largest trace, correction or recovered dof) raises
 :class:`RecoveryError` -- this is the primary defense against algebra slips
 in the closed-form weights.
 
@@ -85,7 +92,41 @@ class RecoveryError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# jumps
+# traces and jumps
+
+# kinds of side traces each method produces
+_KINDS = {"conforming": ("flux",), "nonconforming": ("flux", "gradient"), "mixed": ("gradient",)}
+# label of the edges whose recovered dofs equal the boundary data
+_DATA_LABEL = {"flux": NEUMANN, "gradient": DIRICHLET}
+# endpoint-pair trace -> dof values: the first entry for RT/NE, the pair for
+# BDM, and the pair with its end value negated for ND
+_DOF_SIGN = {"rt": (1.0,), "ne": (1.0,), "bdm": (1.0, 1.0), "nd": (1.0, -1.0)}
+
+
+def _side_traces(traces: EdgeTraces, kind: str):
+    """``(minus, plus, data)`` traces of the numerical flux or gradient.
+
+    Constant traces are (ne,) arrays; the affine mixed-method gradient is
+    given by its endpoint pair, (ne, 2).  ``data`` is the constant boundary
+    value (``g_N`` for a flux, the Dirichlet slope for a gradient).
+    """
+    if kind == "flux":
+        return traces.flux_minus, traces.flux_plus, traces.g_neumann
+    if traces.rho_minus is not None:
+        return traces.rho_minus, traces.rho_plus, traces.dgD_dt
+    return (
+        np.column_stack([traces.d_s_minus, traces.d_e_minus]),
+        np.column_stack([traces.d_s_plus, traces.d_e_plus]),
+        traces.dgD_dt,
+    )
+
+
+def _dofs(family: str, v: np.ndarray) -> np.ndarray:
+    """(ne, ndof) dof values of a constant (ne,) or endpoint-pair (ne, 2)
+    trace."""
+    sign = _DOF_SIGN[family]
+    pair = v[:, None] if v.ndim == 1 else v
+    return np.broadcast_to(pair, (len(v), 2))[:, : len(sign)] * sign
 
 
 @dataclass
@@ -115,33 +156,20 @@ def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: s
     lab = mesh.edge_label
     interior = lab == INTERIOR
     out = JumpSet(method=method)
-
-    if method in ("conforming", "nonconforming"):
-        flux = np.full(mesh.n_edges, np.nan)
-        flux[interior] = traces.flux_minus[interior] - traces.flux_plus[interior]
-        neu = lab == NEUMANN
-        flux[neu] = traces.flux_minus[neu] - traces.g_neumann[neu]
-        out.flux = flux
-        out.flux_mask = interior | neu
-
-    if method == "nonconforming":
-        grad = np.full(mesh.n_edges, np.nan)
-        grad[interior] = traces.rho_minus[interior] - traces.rho_plus[interior]
-        dir_ = lab == DIRICHLET
-        grad[dir_] = traces.rho_minus[dir_] - traces.dgD_dt[dir_]
-        out.grad = grad
-        out.grad_mask = interior | dir_
-
-    if method == "mixed":
-        ca = np.full((mesh.n_edges, 2), np.nan)
-        ca[interior, 0] = traces.d_s_minus[interior] - traces.d_s_plus[interior]
-        ca[interior, 1] = traces.d_e_minus[interior] - traces.d_e_plus[interior]
-        dir_ = lab == DIRICHLET
-        ca[dir_, 0] = traces.d_s_minus[dir_] - traces.dgD_dt[dir_]
-        ca[dir_, 1] = traces.d_e_minus[dir_] - traces.dgD_dt[dir_]
-        out.grad_affine = ca
-        out.grad_mask = interior | dir_
-
+    for kind in _KINDS[method]:
+        minus, plus, data = _side_traces(traces, kind)
+        on_data = lab == _DATA_LABEL[kind]
+        jump = np.full(minus.shape, np.nan)
+        jump[interior] = minus[interior] - plus[interior]
+        data = data[:, None] if minus.ndim == 2 else data
+        jump[on_data] = minus[on_data] - data[on_data]
+        mask = interior | on_data
+        if kind == "flux":
+            out.flux, out.flux_mask = jump, mask
+        elif jump.ndim == 2:
+            out.grad_affine, out.grad_mask = jump, mask
+        else:
+            out.grad, out.grad_mask = jump, mask
     return out
 
 
@@ -172,21 +200,29 @@ def _side_vectors(mesh: Mesh, family: str, side: int):
     return eids, tri, C
 
 
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched ``M v`` for (ne, d, d) matrices and (ne, d) vectors."""
+    return (M * v[:, None, :]).sum(axis=2)
+
+
 @dataclass
 class PatchWeights:
-    """Closed-form patch-minimization weights and their Gram blocks.
+    """Patch-response matrices of the closed-form recovery and their Gram
+    blocks.
 
     ``gram`` has shape (ne, 2, ndof, ndof) with the plus-side block zeroed
-    on boundary edges.  Interior-edge weights:
+    on boundary edges.  ``response`` (ne, ndof, ndof) holds, per interior
+    edge, ``P = (G- + G+)^{-1} G-``: the recovered dofs are
+    ``P t- + (I - P) t+`` for the side dof values ``t-, t+``.  The named
+    weights are read-only views derived from it:
 
-    * ``a_rt`` / ``a_ne``: scalar averaging weights of the one-unknown
-      families (weight on the K- trace),
-    * ``a_bdm, b_bdm``: the two BDM averaging weights,
-    * ``nd_response``: (ne, 2, 2) matrices R mapping the endpoint jump
-      values to the minimizer coefficients, ``(x_s, x_e) = R (c_s, c_e)``;
-      ``ell_s = R[0,0]`` and ``ell_e = -R[1,1]`` are the averaging factors
-      and ``a_nc = R[0,0] + R[0,1]``, ``b_nc = R[1,0] + R[1,1]`` the
-      constant-jump weights.
+    * ``a_rt`` / ``a_ne`` = ``P[:, 0, 0]``, the weight on the K- trace of
+      the one-unknown families;
+    * ``a_bdm, b_bdm``: the row sums of ``P`` (constant-trace weights);
+    * ``nd_response`` = ``P * (1, -1)``: maps the endpoint jump values to
+      the minimizer coefficients, ``(x_s, x_e) = R (c_s, c_e)``;
+    * ``a_nc, b_nc``: the row sums of ``nd_response``, the constant-jump
+      weights of the nonconforming gradient recovery.
 
     Entries are NaN for non-interior edges.
     """
@@ -194,34 +230,21 @@ class PatchWeights:
     family: str
     gram: np.ndarray
     has_plus: np.ndarray
-    a_rt: np.ndarray | None = None
-    a_bdm: np.ndarray | None = None
-    b_bdm: np.ndarray | None = None
-    a_ne: np.ndarray | None = None
-    nd_response: np.ndarray | None = None
+    response: np.ndarray
 
-    @property
-    def ell_s(self):
-        return self.nd_response[:, 0, 0]
-
-    @property
-    def ell_e(self):
-        return -self.nd_response[:, 1, 1]
-
-    @property
-    def a_nc(self):
-        return self.nd_response[:, 0, 0] + self.nd_response[:, 0, 1]
-
-    @property
-    def b_nc(self):
-        return self.nd_response[:, 1, 0] + self.nd_response[:, 1, 1]
+    a_rt = a_ne = property(lambda self: self.response[:, 0, 0])
+    a_bdm = property(lambda self: self.response[:, 0].sum(axis=1))
+    b_bdm = property(lambda self: self.response[:, 1].sum(axis=1))
+    nd_response = property(lambda self: self.response * np.array([1.0, -1.0]))
+    a_nc = property(lambda self: self.nd_response[:, 0].sum(axis=1))
+    b_nc = property(lambda self: self.nd_response[:, 1].sum(axis=1))
 
 
 def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
-    """Averaging weights for every interior edge, from exact Gram integrals."""
+    """Patch responses for every interior edge, from exact Gram integrals."""
     if family not in FLUX_FAMILIES + GRADIENT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    ndof = 1 if family in ("rt", "ne") else 2
+    ndof = len(_DOF_SIGN[family])
     ne = mesh.n_edges
     gram = np.zeros((ne, 2, ndof, ndof))
     for side in (0, 1):
@@ -230,47 +253,24 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
         gram[eids, side] = _weighted_gram(W, C, mesh.tri_area[tri])
     has_plus = mesh.edge_tris[:, 1] >= 0
 
-    interior = mesh.edge_label == INTERIOR
-    w = PatchWeights(family=family, gram=gram, has_plus=has_plus)
+    # P = adj(Gt) Gm / det(Gt) by Cramer's rule, reading only the upper
+    # triangles of the symmetric Gram blocks
+    i = mesh.edge_label == INTERIOR
+    Gm = gram[i, 0]
+    Gm[:, -1, 0] = Gm[:, 0, -1]
+    Gt = gram[i].sum(axis=1)
     if ndof == 1:
-        beta = gram[:, :, 0, 0]
-        total = beta.sum(axis=1)
-        a = np.full(ne, np.nan)
-        a[interior] = beta[interior, 0] / total[interior]
-        if family == "rt":
-            w.a_rt = a
-        else:
-            w.a_ne = a
-        return w
-
-    Gm = gram[:, 0]
-    Gt = gram.sum(axis=1)  # (ne, 2, 2)
-    det = Gt[:, 0, 0] * Gt[:, 1, 1] - Gt[:, 0, 1] ** 2
-    if np.any(det[interior] <= 0.0):
-        raise RecoveryError("singular 2x2 patch Gram system")
-
-    if family == "bdm":
-        rhs_s = Gm[:, 0, 0] + Gm[:, 0, 1]
-        rhs_e = Gm[:, 0, 1] + Gm[:, 1, 1]
-        a = np.full(ne, np.nan)
-        b = np.full(ne, np.nan)
-        a[interior] = (
-            rhs_s[interior] * Gt[interior, 1, 1] - rhs_e[interior] * Gt[interior, 0, 1]
-        ) / det[interior]
-        b[interior] = (
-            rhs_e[interior] * Gt[interior, 0, 0] - rhs_s[interior] * Gt[interior, 0, 1]
-        ) / det[interior]
-        w.a_bdm, w.b_bdm = a, b
-        return w
-
-    R = np.full((ne, 2, 2), np.nan)
-    i = interior
-    R[i, 0, 0] = (Gm[i, 0, 0] * Gt[i, 1, 1] - Gm[i, 0, 1] * Gt[i, 0, 1]) / det[i]
-    R[i, 0, 1] = -(Gm[i, 0, 1] * Gt[i, 1, 1] - Gm[i, 1, 1] * Gt[i, 0, 1]) / det[i]
-    R[i, 1, 0] = (Gm[i, 0, 1] * Gt[i, 0, 0] - Gm[i, 0, 0] * Gt[i, 0, 1]) / det[i]
-    R[i, 1, 1] = -(Gm[i, 1, 1] * Gt[i, 0, 0] - Gm[i, 0, 1] * Gt[i, 0, 1]) / det[i]
-    w.nd_response = R
-    return w
+        det = Gt[:, 0, 0]
+        adj = np.ones_like(Gt)
+    else:
+        a, b, c = Gt[:, 0, 0], Gt[:, 0, 1], Gt[:, 1, 1]
+        det = a * c - b**2
+        adj = np.stack([c, -b, -b, a], axis=1).reshape(-1, 2, 2)
+    if np.any(det <= 0.0):
+        raise RecoveryError("singular patch Gram system")
+    response = np.full((ne, ndof, ndof), np.nan)
+    response[i] = (adj[:, :, :, None] * Gm[:, None]).sum(axis=2) / det[:, None, None]
+    return PatchWeights(family=family, gram=gram, has_plus=has_plus, response=response)
 
 
 # ----------------------------------------------------------------------
@@ -298,21 +298,14 @@ class RecoveredField:
     correction_side: np.ndarray
     weights: PatchWeights = field(repr=False, default=None)
 
-    @property
-    def ndof(self) -> int:
-        return 1 if self.family in ("rt", "ne") else 2
-
     def _accumulate_vertex_vectors(self, side_coef) -> np.ndarray:
         """(nt, 3, 2) vertex-coefficient form of ``sum_F coef_F psi_F``."""
         mesh = self.mesh
+        side_coef = side_coef.reshape(mesh.n_edges, 2, -1)
         out = np.zeros((mesh.n_triangles, 3, 2))
         for side in (0, 1):
             eids, tri, C = _side_vectors(mesh, self.family, side)
-            vals = side_coef[eids, side]
-            if self.ndof == 1:
-                contrib = vals[:, None, None] * C[:, 0]
-            else:
-                contrib = np.einsum("md,mdvx->mvx", vals, C)
+            contrib = np.einsum("md,mdvx->mvx", side_coef[eids, side], C)
             np.add.at(out, tri, contrib)
         return out
 
@@ -322,11 +315,8 @@ class RecoveredField:
 
     def total_vertex_vectors(self) -> np.ndarray:
         """Vertex-vector form of the full recovered field."""
-        shape = (self.mesh.n_edges, 2) + ((2,) if self.ndof == 2 else ())
-        side_coef = np.zeros(shape)
-        side_coef[:, 0] = self.coef
-        side_coef[:, 1] = self.coef
-        return self._accumulate_vertex_vectors(side_coef)
+        coef = self.coef.reshape(self.mesh.n_edges, 1, -1)
+        return self._accumulate_vertex_vectors(np.repeat(coef, 2, axis=1))
 
     def eval_vertex_field(self, C, tris, points) -> np.ndarray:
         """Evaluate a vertex-vector field on triangles ``tris`` at physical
@@ -342,13 +332,6 @@ class RecoveredField:
         return np.einsum("mv,mvx->mx", lam, C[tris])
 
 
-def _require_pair(method: str, family: str):
-    if (method, family) not in VALID_PAIRS:
-        raise ValueError(
-            f"no recovery is defined for method={method!r}, family={family!r}"
-        )
-
-
 def recover(
     mesh: Mesh,
     A: CoefficientField,
@@ -359,116 +342,49 @@ def recover(
 ) -> RecoveredField:
     """Recover a conforming flux (rt/bdm) or gradient (ne/nd).
 
-    The recovered dof on an interior edge is the patch-weighted average of
-    the two side traces; Neumann flux dofs equal ``g_N``, Dirichlet gradient
-    dofs the tangential slope of the Dirichlet data, and the remaining
-    boundary dofs keep the numerical trace.  ``validate`` cross-checks the
-    correction coefficients against :func:`local_oracle` on a sample of
-    edges ("sample", default), every edge ("all"), or not at all (False).
+    With ``t-, t+`` the dof values of the two side traces and ``P`` the
+    patch response of :func:`patch_weights`, the recovered dofs are
+    ``P t- + (I - P) t+`` on interior edges; Neumann flux dofs equal
+    ``g_N``, Dirichlet gradient dofs the tangential slope of the Dirichlet
+    data, and the remaining boundary dofs keep the numerical trace.
+    ``validate`` cross-checks the correction coefficients against
+    :func:`local_oracle` on a sample of edges ("sample" or True, the
+    default), every edge ("all"), or not at all (False).
     """
-    _require_pair(method, family)
+    if (method, family) not in VALID_PAIRS:
+        raise ValueError(f"no recovery is defined for method={method!r}, family={family!r}")
+    if validate not in ("sample", "all", True, False):
+        raise ValueError(f"validate must be 'sample', 'all', True or False, not {validate!r}")
     jumps = compute_jumps(mesh, A, traces, method)
     w = patch_weights(mesh, A, family)
-    lab = mesh.edge_label
-    interior = lab == INTERIOR
-    neumann = lab == NEUMANN
-    dirichlet = lab == DIRICHLET
-    has_plus = mesh.edge_tris[:, 1] >= 0
-    ne = mesh.n_edges
-
-    if family in FLUX_FAMILIES:
-        sm, sp = traces.flux_minus, traces.flux_plus
-        num = np.zeros((ne, 2) + ((2,) if family == "bdm" else ()))
-        if family == "rt":
-            num[:, 0] = sm
-            num[:, 1] = np.where(has_plus, sp, 0.0)
-            coef = np.where(
-                interior,
-                w.a_rt * sm + (1.0 - w.a_rt) * np.where(has_plus, sp, 0.0),
-                np.where(neumann, traces.g_neumann, sm),
-            )
-        else:
-            num[:, 0, :] = sm[:, None]
-            num[:, 1, :] = np.where(has_plus, sp, 0.0)[:, None]
-            coef = np.empty((ne, 2))
-            spn = np.where(has_plus, sp, 0.0)
-            coef[:, 0] = np.where(
-                interior,
-                w.a_bdm * sm + (1.0 - w.a_bdm) * spn,
-                np.where(neumann, traces.g_neumann, sm),
-            )
-            coef[:, 1] = np.where(
-                interior,
-                w.b_bdm * sm + (1.0 - w.b_bdm) * spn,
-                np.where(neumann, traces.g_neumann, sm),
-            )
-    elif family == "ne":
-        rm, rp = traces.rho_minus, traces.rho_plus
-        rpn = np.where(has_plus, rp, 0.0)
-        num = np.zeros((ne, 2))
-        num[:, 0] = rm
-        num[:, 1] = rpn
-        coef = np.where(
-            interior,
-            w.a_ne * rm + (1.0 - w.a_ne) * rpn,
-            np.where(dirichlet, traces.dgD_dt, rm),
-        )
-    else:  # nd
-        num = np.zeros((ne, 2, 2))
-        coef = np.empty((ne, 2))
-        if method == "mixed":
-            dsm, dem = traces.d_s_minus, traces.d_e_minus
-            dsp = np.where(has_plus, traces.d_s_plus, 0.0)
-            dep = np.where(has_plus, traces.d_e_plus, 0.0)
-            num[:, 0, 0] = dsm
-            num[:, 0, 1] = -dem
-            num[:, 1, 0] = dsp
-            num[:, 1, 1] = -dep
-            cs, ce = jumps.grad_affine.T
-            R = w.nd_response
-            xs = R[:, 0, 0] * cs + R[:, 0, 1] * ce
-            xe = R[:, 1, 0] * cs + R[:, 1, 1] * ce
-            coef[:, 0] = np.where(
-                interior, xs + dsp, np.where(dirichlet, traces.dgD_dt, dsm)
-            )
-            coef[:, 1] = np.where(
-                interior, xe - dep, np.where(dirichlet, -traces.dgD_dt, -dem)
-            )
-        else:  # nonconforming
-            rm = traces.rho_minus
-            rpn = np.where(has_plus, traces.rho_plus, 0.0)
-            num[:, 0, 0] = rm
-            num[:, 0, 1] = -rm
-            num[:, 1, 0] = rpn
-            num[:, 1, 1] = -rpn
-            a_nc, b_nc = w.a_nc, w.b_nc
-            coef[:, 0] = np.where(
-                interior,
-                a_nc * rm + (1.0 - a_nc) * rpn,
-                np.where(dirichlet, traces.dgD_dt, rm),
-            )
-            coef[:, 1] = np.where(
-                interior,
-                b_nc * rm - (1.0 + b_nc) * rpn,
-                np.where(dirichlet, -traces.dgD_dt, -rm),
-            )
-
-    if num.ndim == 2:
-        corr = coef[:, None] - num
-        corr[~has_plus, 1] = 0.0
-    else:
-        corr = coef[:, None, :] - num
-        corr[~has_plus, 1, :] = 0.0
-
     kind = "flux" if family in FLUX_FAMILIES else "gradient"
+    minus, plus, data = _side_traces(traces, kind)
+    t_minus = _dofs(family, minus)
+    t_plus = _dofs(family, plus)
+    t_plus[~w.has_plus] = 0.0
+
+    P = w.response
+    patch = _apply(P, t_minus) + _apply(np.eye(P.shape[1]) - P, t_plus)
+    lab = mesh.edge_label
+    coef = np.where(
+        (lab == INTERIOR)[:, None],
+        patch,
+        np.where((lab == _DATA_LABEL[kind])[:, None], _dofs(family, data), t_minus),
+    )
+    numerical = np.stack([t_minus, t_plus], axis=1)
+    correction = coef[:, None] - numerical
+    correction[~w.has_plus, 1] = 0.0
+    if P.shape[1] == 1:  # one-dof families keep flat arrays
+        coef, numerical, correction = coef[:, 0], numerical[..., 0], correction[..., 0]
+
     fld = RecoveredField(
         mesh=mesh,
         method=method,
         family=family,
         kind=kind,
         coef=coef,
-        numerical_side=num,
-        correction_side=corr,
+        numerical_side=numerical,
+        correction_side=correction,
         weights=w,
     )
     if validate:
@@ -673,23 +589,22 @@ def _oracle_jumps(fld: RecoveredField, jumps: JumpSet) -> np.ndarray:
 def _validate_against_oracle(fld: RecoveredField, A, jumps: JumpSet, mode="sample"):
     mesh = fld.mesh
     ne = mesh.n_edges
-    if mode == "all":
-        sample = np.arange(ne)
-    else:
-        step = max(1, ne // 64)
-        sample = np.arange(0, ne, step)
-    scale = max(np.abs(fld.correction_side).max(), np.abs(fld.coef).max(), 1e-30)
+    sample = np.arange(0, ne, 1 if mode == "all" else max(1, ne // 64))
+    # per-edge scale: on graded meshes the traces near a singularity are
+    # many orders larger than elsewhere, and a global scale would hide
+    # faults on every other edge
+    sizes = [np.abs(a).reshape(ne, -1) for a in (fld.numerical_side, fld.correction_side, fld.coef)]
+    scale = np.maximum(np.hstack(sizes).max(axis=1), 1e-30)
     jump = _oracle_jumps(fld, jumps)
+    corr = fld.correction_side.reshape(ne, 2, -1)
     for F in sample:
         ora = local_oracle(mesh, A, int(F), jump[F], fld.family)
-        mine = np.atleast_1d(fld.correction_side[F, 0])
-        diff = np.abs(mine - ora.corr_minus).max()
+        diff = np.abs(corr[F, 0] - ora.corr_minus).max()
         if ora.corr_plus is not None:
-            mine_p = np.atleast_1d(fld.correction_side[F, 1])
-            diff = max(diff, np.abs(mine_p - ora.corr_plus).max())
-        if diff > 1e-11 * scale:
+            diff = max(diff, np.abs(corr[F, 1] - ora.corr_plus).max())
+        if diff > 1e-11 * scale[F]:
             raise RecoveryError(
                 f"edge {F} ({fld.method}/{fld.family}): explicit correction "
                 f"deviates from the patch oracle by {diff:.3e} "
-                f"(scale {scale:.3e})"
+                f"(scale {scale[F]:.3e})"
             )

@@ -269,10 +269,10 @@ def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> Disc
         np.add.at(b, mesh.triangles[:, l], contrib)
 
     gN = _neumann_values(mesh, data)
-    for e in mesh.neumann_edges:
-        h = mesh.edge_length[e]
-        b[mesh.edges[e, 0]] -= gN[e] * h / 2.0
-        b[mesh.edges[e, 1]] -= gN[e] * h / 2.0
+    neu = mesh.neumann_edges
+    # half of each edge's boundary integral to each endpoint, in edge order
+    half = gN[neu] * mesh.edge_length[neu] / 2.0
+    np.subtract.at(b, mesh.edges[neu].ravel(), np.repeat(half, 2))
 
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
@@ -294,8 +294,8 @@ def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> D
         np.add.at(b, mesh.tri_edges[:, l], w * fm[:, l])
 
     gN = _neumann_values(mesh, data)
-    for e in mesh.neumann_edges:
-        b[e] -= gN[e] * mesh.edge_length[e]
+    neu = mesh.neumann_edges
+    b[neu] -= gN[neu] * mesh.edge_length[neu]
 
     u = np.zeros(ne)
     fixed = mesh.dirichlet_edges
@@ -333,9 +333,12 @@ def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteS
     ).tocsr()
 
     G = np.zeros(ne)
-    dmid = mesh.edge_midpoints()
-    for e in mesh.dirichlet_edges:
-        G[e] = -_eval(data.g_D, dmid[e]) * mesh.edge_length[e]
+    dir_ = mesh.dirichlet_edges
+    # g_D is evaluated one midpoint at a time: numpy's array loops for the
+    # transcendental functions may round differently from its scalar ones,
+    # which would move the mixed solution by an ulp
+    gD = np.array([_eval(data.g_D, p) for p in mesh.edge_midpoints()[dir_]])
+    G[dir_] = -gD * mesh.edge_length[dir_]
 
     fm = _rhs_midpoint_rule(mesh, data.f)
     Fv = mesh.tri_area * fm.mean(axis=1)
