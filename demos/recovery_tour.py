@@ -35,11 +35,11 @@ interface = [
     for e in mesh.interior_edges
     if A.scalar[mesh.edge_tris[e, 0]] != A.scalar[mesh.edge_tris[e, 1]]
 ]
-F = max(interface, key=lambda e: abs(jumps.flux[e]))
+F = max(interface, key=lambda e: abs(jumps.flux[e, 0]))
 km, kp = mesh.edge_tris[F]
 print(f"edge {F}: K- = {km} (alpha {A.scalar[km]:g}), K+ = {kp} (alpha {A.scalar[kp]:g})")
-print(f"  side traces of the numerical flux: {traces.flux_minus[F]:+.5f} / {traces.flux_plus[F]:+.5f}")
-print(f"  flux jump: {jumps.flux[F]:+.5f}")
+print(f"  side traces of the numerical flux: {traces.flux[F, 0, 0]:+.5f} / {traces.flux[F, 1, 0]:+.5f}")
+print(f"  flux jump: {jumps.flux[F, 0]:+.5f}")
 
 w = patch_weights(mesh, A, "rt")
 print(f"  averaging weight a_rt = {w.a_rt[F]:.6f}")
@@ -51,7 +51,7 @@ print(f"  recovered normal flux on the edge: {field.coef[F]:+.5f}")
 print(f"  corrections per side: {field.correction_side[F, 0]:+.5e} / "
       f"{field.correction_side[F, 1]:+.5e}")
 
-oracle = local_oracle(mesh, A, F, float(jumps.flux[F]), "rt")
+oracle = local_oracle(mesh, A, F, float(jumps.flux[F, 0]), "rt")
 print(f"  patch-oracle corrections:  {oracle.corr_minus[0]:+.5e} / "
       f"{oracle.corr_plus[0]:+.5e}")
 

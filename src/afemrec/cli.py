@@ -59,7 +59,7 @@ def parse_cli(argv=None) -> RunConfig:
     )
     parser.add_argument(
         "--recovery",
-        choices=("rt", "bdm", "nd", "rt-ne", "bdm-nd"),
+        choices=tuple(dict.fromkeys(f for fams in FAMILY_CHOICES.values() for f in fams)),
         default="rt",
         help="recovery family driving the estimator",
     )
@@ -74,26 +74,19 @@ def parse_cli(argv=None) -> RunConfig:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.recovery not in FAMILY_CHOICES[args.method]:
-        parser.error(
-            f"--method {args.method} cannot use --recovery {args.recovery}; "
-            "valid combinations:\n" + _VALID_TABLE
+    try:
+        afem = AfemConfig(
+            problem=args.problem,
+            method=args.method,
+            family=args.recovery,
+            theta=args.theta,
+            max_dof=args.max_dof,
+            c1=args.c1,
+            initial_n=args.initial_n,
+            uniform=args.uniform,
         )
-    if not 0.0 < args.theta < 1.0:
-        parser.error("--theta must lie in (0, 1)")
-    if not 0.0 < args.c1 < 1.0:
-        parser.error("--c1 must lie in (0, 1)")
-
-    afem = AfemConfig(
-        problem=args.problem,
-        method=args.method,
-        family=args.recovery,
-        theta=args.theta,
-        max_dof=args.max_dof,
-        c1=args.c1,
-        initial_n=args.initial_n,
-        uniform=args.uniform,
-    )
+    except ValueError as exc:
+        parser.error(str(exc))
     return RunConfig(afem=afem, out_dir=args.out, quiet=args.quiet)
 
 

@@ -147,17 +147,17 @@ def residual_edge_estimator(
     ap = np.where(has_plus, alpha[np.maximum(mesh.edge_tris[:, 1], 0)], am)
 
     if method == "conforming":
-        jf = np.where(jumps.flux_mask, jumps.flux, 0.0)
+        jf = jumps.masked("flux")[:, 0]
         denom = np.where(lab == INTERIOR, am + ap, am)
         sq = (h * jf / np.sqrt(denom)) ** 2
     elif method == "mixed":
-        cs, ce = np.where(jumps.grad_mask[:, None], jumps.grad_affine, 0.0).T
+        cs, ce = jumps.masked("gradient").T
         # int_F j^2 for the affine jump with endpoint values (cs, ce)
         int_j2 = h * (cs**2 + cs * ce + ce**2) / 3.0
         sq = np.where(lab == NEUMANN, 0.0, 0.5 * (am + ap) * h * int_j2)
     elif method == "nonconforming":
-        jf = np.where(jumps.flux_mask, jumps.flux, 0.0)
-        jg = np.where(jumps.grad_mask, jumps.grad, 0.0)
+        jf = jumps.masked("flux")[:, 0]
+        jg = jumps.masked("gradient")[:, 0]
         sq = np.where(
             lab == INTERIOR,
             2.0 * h**2 / (am + ap) * jf**2 + h**2 * am * ap / (am + ap) * jg**2,

@@ -1,12 +1,16 @@
 """Conforming triangulations with oriented edges and newest-vertex bisection.
 
-The mesh keeps, for every edge ``F``, a globally fixed unit normal ``n_F``
-with tangent ``t_F = rot90(n_F)`` and endpoints ordered so that
-``e_F - s_F = h_F * t_F``.  The element whose outward normal on ``F`` equals
-``n_F`` is ``K-`` (first adjacency slot); the other, if any, is ``K+``.
-Interior normals point from the lower to the higher element id at edge
-creation and are inherited verbatim by any refinement that keeps the edge,
-so they never flip under refinement of other elements.
+Every edge ``F = (s_F, e_F)`` is oriented by counting, with no geometric
+test: a new edge runs counterclockwise around its lower-id triangle, and an
+edge that survives a refinement inherits its ``(s_F, e_F)`` pair verbatim.
+``K-`` (first adjacency slot) is the triangle around which ``s_F -> e_F``
+runs counterclockwise; the other, if any, is ``K+``.  As triangles are
+counterclockwise, the edge's local slot fixes the local vertex indices:
+``s_F, e_F`` sit at ``(slot + 1) % 3, (slot + 2) % 3`` of ``K-`` and the
+other way round on ``K+``.  The tangent is ``t_F = (x_e - x_s) / h_F`` and
+the normal ``n_F = (t_y, -t_x)`` is the outward normal of ``K-``; both are
+functions of the pair alone, so they never flip, nor change a bit, under
+refinement of other elements.
 
 Meshes are immutable after construction: all queries are read-only and safe
 for concurrent use; :func:`refine` returns a new mesh.
@@ -129,21 +133,15 @@ class Mesh:
         ne = len(ukeys)
         self.tri_edges = inverse.reshape(nt, 3)
 
-        incident_tri = np.repeat(np.arange(nt, dtype=np.int64), 3)
-        incident_slot = np.tile(np.arange(3, dtype=np.int64), nt)
+        # incidences t * 3 + slot grouped by edge: the stable sort lists the
+        # lower-id triangle of every edge first
         order = np.argsort(inverse, kind="stable")
         first = np.searchsorted(inverse[order], np.arange(ne))
-        adj = np.full((ne, 2), -1, dtype=np.int64)
-        slot = np.full((ne, 2), -1, dtype=np.int64)
-        adj[:, 0] = incident_tri[order][first]
-        slot[:, 0] = incident_slot[order][first]
         two = counts == 2
-        adj[two, 1] = incident_tri[order][first[two] + 1]
-        slot[two, 1] = incident_slot[order][first[two] + 1]
-
-        sa = ukeys // nv
-        sb = ukeys % nv
         boundary = ~two
+        inc = np.full((ne, 2), -1, dtype=np.int64)
+        inc[:, 0] = order[first]
+        inc[two, 1] = order[first[two] + 1]
 
         # labels: the sorted (keys, labels) table is keyed like ukeys
         label = np.zeros(ne, dtype=np.int64)
@@ -157,83 +155,41 @@ class Mesh:
             label[bidx] = lvals[pos]
         if not found.all():
             miss = bidx[np.flatnonzero(~found)[0]]
-            raise MeshError(f"boundary edge ({sa[miss]}, {sb[miss]}) has no D/N label")
+            a, b = divmod(int(ukeys[miss]), nv)
+            raise MeshError(f"boundary edge ({a}, {b}) has no D/N label")
         if not np.any(label == DIRICHLET):
             raise MeshError("the Dirichlet boundary set must be nonempty")
 
-        # orientation: inherited (s, e) pairs win, otherwise lower-id rule
-        s_ids = sa.copy()
-        e_ids = sb.copy()
-        inherited = np.zeros(ne, dtype=bool)
+        # orientation by counting: a new edge runs counterclockwise around
+        # its lower-id triangle; an inherited (s, e) pair wins
+        tri0, slot0 = np.divmod(inc[:, 0], 3)
+        start = triangles[tri0, (slot0 + 1) % 3]
+        s_ids = start.copy()
+        e_ids = triangles[tri0, (slot0 + 2) % 3]
         if orient_table is not None and len(orient_table[0]):
             okeys, os_, oe_ = orient_table
             pos = np.minimum(np.searchsorted(okeys, ukeys), len(okeys) - 1)
             found = okeys[pos] == ukeys
             s_ids[found] = os_[pos[found]]
             e_ids[found] = oe_[pos[found]]
-            inherited = found
-
-        # outward normal of the first-listed adjacent triangle
-        mid = 0.5 * (vertices[sa] + vertices[sb])
-        opp0 = triangles[adj[:, 0], slot[:, 0]]
-        raw = vertices[sb] - vertices[sa]
-        nrm = _rot90(raw)
-        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-        flip = ((mid - vertices[opp0]) * nrm).sum(axis=1) < 0.0
-        nrm[flip] = -nrm[flip]  # now outward for adj[:, 0]
-
-        # choose K- and final normal per edge
-        kminus = adj[:, 0].copy()
-        kplus = adj[:, 1].copy()
-        n_final = nrm.copy()
-        if two.any():
-            swap = two & (adj[:, 1] < adj[:, 0])
-            kminus[swap], kplus[swap] = adj[swap, 1], adj[swap, 0]
-            n_final[swap] = -n_final[swap]
-        if inherited.any():
-            idx = np.flatnonzero(inherited)
-            t_inh = vertices[e_ids[idx]] - vertices[s_ids[idx]]
-            t_inh /= np.linalg.norm(t_inh, axis=1)[:, None]
-            n_inh = np.stack([t_inh[:, 1], -t_inh[:, 0]], axis=1)
-            # K- is the adjacent triangle whose outward normal matches n_inh
-            agree0 = (n_inh * nrm[idx]).sum(axis=1) > 0.0
-            kminus[idx] = np.where(agree0, adj[idx, 0], adj[idx, 1])
-            kplus[idx] = np.where(agree0, adj[idx, 1], adj[idx, 0])
-            n_final[idx] = n_inh
-            if np.any(kminus[idx] < 0):
-                raise MeshError("inherited edge normal points out of the domain")
-
-        tangent = _rot90(n_final)
-        along = ((vertices[e_ids] - vertices[s_ids]) * tangent).sum(axis=1)
-        swap_se = along < 0.0
-        s_ids[swap_se], e_ids[swap_se] = e_ids[swap_se], s_ids[swap_se]
+        # K- is the triangle around which s -> e runs counterclockwise
+        flip = s_ids != start
+        if np.any(flip & boundary):
+            raise MeshError("inherited edge normal points out of the domain")
+        inc = np.where(flip[:, None], inc[:, ::-1], inc)
+        has = inc >= 0
+        self.edge_tris = np.where(has, inc // 3, -1)
+        self.edge_slot = np.where(has, inc % 3, -1)
+        # s, e follow the edge slot counterclockwise on K-, clockwise on K+
+        self.edge_loc_s = np.where(has, (self.edge_slot + [1, 2]) % 3, -1)
+        self.edge_loc_e = np.where(has, (self.edge_slot + [2, 1]) % 3, -1)
 
         self.edges = np.stack([s_ids, e_ids], axis=1)
         self.edge_label = label
-        self.edge_normal = n_final
-        self.edge_tangent = tangent
-        self.edge_length = np.linalg.norm(
-            vertices[e_ids] - vertices[s_ids], axis=1
-        )
-        self.edge_tris = np.stack([kminus, kplus], axis=1)
-
-        # per-side local indices
-        eslot = np.full((ne, 2), -1, dtype=np.int64)
-        loc_s = np.full((ne, 2), -1, dtype=np.int64)
-        loc_e = np.full((ne, 2), -1, dtype=np.int64)
-        for side in (0, 1):
-            has = self.edge_tris[:, side] >= 0
-            tri = self.edge_tris[has, side]
-            tv = triangles[tri]  # (m, 3)
-            for l in range(3):
-                hit = self.tri_edges[tri, l] == np.flatnonzero(has)
-                eslot[np.flatnonzero(has)[hit], side] = l
-            for l in range(3):
-                loc_s[np.flatnonzero(has)[tv[:, l] == s_ids[has]], side] = l
-                loc_e[np.flatnonzero(has)[tv[:, l] == e_ids[has]], side] = l
-        self.edge_slot = eslot
-        self.edge_loc_s = loc_s
-        self.edge_loc_e = loc_e
+        s_to_e = vertices[e_ids] - vertices[s_ids]
+        self.edge_length = np.linalg.norm(s_to_e, axis=1)
+        self.edge_tangent = s_to_e / self.edge_length[:, None]
+        self.edge_normal = -_rot90(self.edge_tangent)  # (t_y, -t_x)
 
         sign = np.where(
             self.edge_tris[self.tri_edges, 0] == np.arange(nt)[:, None], 1, -1
@@ -496,14 +452,11 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     lorder = np.argsort(lkeys)
     label_table = (lkeys[lorder], lvals[lorder])
 
-    keep_edges = np.flatnonzero(~cut)
-    okeys = _encode(mesh.edges[keep_edges, 0], mesh.edges[keep_edges, 1], nv_new)
+    # surviving edges keep their (s, e) pair
+    kept = mesh.edges[~cut]
+    okeys = _encode(kept[:, 0], kept[:, 1], nv_new)
     oorder = np.argsort(okeys)
-    orient_table = (
-        okeys[oorder],
-        mesh.edges[keep_edges, 0][oorder],
-        mesh.edges[keep_edges, 1][oorder],
-    )
+    orient_table = (okeys[oorder], kept[oorder, 0], kept[oorder, 1])
 
     verts = mesh.triangles
     region = mesh.tri_region

@@ -76,6 +76,31 @@ class BenchmarkProblem:
 # checkerboard benchmark
 
 
+def _bisect(f, a: float, b: float) -> float | None:
+    """Root of ``f`` on ``[a, b]`` by bisection, or None when ``f`` has the
+    same sign at both ends.  Stops once the bracket is narrower than
+    ``1e-16 * max(1, |m|)`` around its midpoint ``m``."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        return None
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+        if abs(b - a) < 1e-16 * max(1.0, abs(m)):
+            break
+    return 0.5 * (a + b)
+
+
 def _sigma_from_gamma(gamma: float) -> float:
     """Solve the interface matching condition for the free phase.
 
@@ -89,30 +114,14 @@ def _sigma_from_gamma(gamma: float) -> float:
     lo = -min(math.pi, 2.0 * math.pi - math.pi * gamma) / (2.0 * gamma)
     hi = -max(0.0, math.pi - math.pi * gamma) / (2.0 * gamma)
     eps = 1e-9 * (hi - lo)
-    a, b = lo + eps, hi - eps
 
     def det(s):
         return math.tan((math.pi / 2.0 - s) * gamma) - math.tan(s * gamma)
 
-    fa, fb = det(a), det(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
+    sigma = _bisect(det, lo + eps, hi - eps)
+    if sigma is None:
         raise ProblemError("interface matching determinant does not change sign")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = det(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if abs(b - a) < 1e-16 * max(1.0, abs(m)):
-            break
-    return 0.5 * (a + b)
+    return sigma
 
 
 def _ratio_from_gamma(gamma: float) -> float:
@@ -124,23 +133,10 @@ def _gamma_from_ratio(R: float) -> float:
     """Invert the (monotone decreasing) map gamma -> coefficient ratio."""
     if R <= 1.0:
         raise ProblemError("the coefficient ratio must exceed 1")
-    a, b = 1e-6, 1.0 - 1e-9
-    fa = _ratio_from_gamma(a) - R
-    fb = _ratio_from_gamma(b) - R
-    if fa * fb > 0.0:
+    gamma = _bisect(lambda g: _ratio_from_gamma(g) - R, 1e-6, 1.0 - 1e-9)
+    if gamma is None:
         raise ProblemError("coefficient ratio out of the solvable range")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = _ratio_from_gamma(m) - R
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if abs(b - a) < 1e-16:
-            break
-    return 0.5 * (a + b)
+    return gamma
 
 
 def kellogg_problem(
@@ -201,8 +197,7 @@ def kellogg_problem(
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r, theta = polar(x, y)
-        i = piece_of(theta)
-        return r**gamma * (amp[i] * np.cos((theta + phase[i]) * gamma))
+        return r**gamma * mu_piece(piece_of(theta), theta)
 
     def exact_grad(x, y):
         x = np.asarray(x, dtype=float)

@@ -104,29 +104,19 @@ _DOF_SIGN = {"rt": (1.0,), "ne": (1.0,), "bdm": (1.0, 1.0), "nd": (1.0, -1.0)}
 
 
 def _side_traces(traces: EdgeTraces, kind: str):
-    """``(minus, plus, data)`` traces of the numerical flux or gradient.
-
-    Constant traces are (ne,) arrays; the affine mixed-method gradient is
-    given by its endpoint pair, (ne, 2).  ``data`` is the constant boundary
-    value (``g_N`` for a flux, the Dirichlet slope for a gradient).
-    """
+    """``(sides, data)``: the (ne, 2, k) side traces of the numerical flux
+    or gradient and their constant boundary data (``g_N`` for a flux, the
+    Dirichlet slope for a gradient)."""
     if kind == "flux":
-        return traces.flux_minus, traces.flux_plus, traces.g_neumann
-    if traces.rho_minus is not None:
-        return traces.rho_minus, traces.rho_plus, traces.dgD_dt
-    return (
-        np.column_stack([traces.d_s_minus, traces.d_e_minus]),
-        np.column_stack([traces.d_s_plus, traces.d_e_plus]),
-        traces.dgD_dt,
-    )
+        return traces.flux, traces.g_neumann
+    return traces.grad, traces.dgD_dt
 
 
 def _dofs(family: str, v: np.ndarray) -> np.ndarray:
-    """(ne, ndof) dof values of a constant (ne,) or endpoint-pair (ne, 2)
-    trace."""
+    """(..., ndof) dof values of constant (..., 1) or endpoint-pair
+    (..., 2) traces."""
     sign = _DOF_SIGN[family]
-    pair = v[:, None] if v.ndim == 1 else v
-    return np.broadcast_to(pair, (len(v), 2))[:, : len(sign)] * sign
+    return np.broadcast_to(v, v.shape[:-1] + (2,))[..., : len(sign)] * sign
 
 
 @dataclass
@@ -134,18 +124,24 @@ class JumpSet:
     """Edge jumps of the numerical flux / gradient.
 
     Flux jumps live on interior and Neumann edges; gradient jumps on
-    interior and Dirichlet edges.  Entries are NaN (and masked False) where
-    the defining formula excludes the edge, not zero.  The mixed-method
-    gradient jump is affine per edge and stored by its endpoint values
-    ``(c_s, c_e)``; the others are constants.
+    interior and Dirichlet edges.  Each jump is an ``[edge, value]`` array
+    of shape (ne, k) like the side traces it comes from: ``k = 1`` for a
+    constant jump and ``k = 2`` for the affine mixed-method gradient jump,
+    stored by its endpoint values ``(c_s, c_e)``.  Entries are NaN (and
+    masked False) where the defining formula excludes the edge, not zero.
     """
 
     method: str
     flux: np.ndarray | None = None
     flux_mask: np.ndarray | None = None
     grad: np.ndarray | None = None
-    grad_affine: np.ndarray | None = None
     grad_mask: np.ndarray | None = None
+
+    def masked(self, kind: str) -> np.ndarray:
+        """(ne, k) jump of the flux or gradient, zero where undefined."""
+        if kind == "flux":
+            return np.where(self.flux_mask[:, None], self.flux, 0.0)
+        return np.where(self.grad_mask[:, None], self.grad, 0.0)
 
 
 def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: str) -> JumpSet:
@@ -153,21 +149,15 @@ def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: s
     boundary edges where the jump is defined)."""
     if traces.method != method:
         raise ValueError(f"traces are for {traces.method!r}, not {method!r}")
-    lab = mesh.edge_label
-    interior = lab == INTERIOR
+    interior = mesh.edge_label == INTERIOR
     out = JumpSet(method=method)
     for kind in _KINDS[method]:
-        minus, plus, data = _side_traces(traces, kind)
-        on_data = lab == _DATA_LABEL[kind]
-        jump = np.full(minus.shape, np.nan)
-        jump[interior] = minus[interior] - plus[interior]
-        data = data[:, None] if minus.ndim == 2 else data
-        jump[on_data] = minus[on_data] - data[on_data]
-        mask = interior | on_data
+        sides, data = _side_traces(traces, kind)
+        mask = interior | (mesh.edge_label == _DATA_LABEL[kind])
+        other = np.where(interior[:, None], sides[:, 1], data[:, None])
+        jump = np.where(mask[:, None], sides[:, 0] - other, np.nan)
         if kind == "flux":
             out.flux, out.flux_mask = jump, mask
-        elif jump.ndim == 2:
-            out.grad_affine, out.grad_mask = jump, mask
         else:
             out.grad, out.grad_mask = jump, mask
     return out
@@ -358,10 +348,10 @@ def recover(
     jumps = compute_jumps(mesh, A, traces, method)
     w = patch_weights(mesh, A, family)
     kind = "flux" if family in FLUX_FAMILIES else "gradient"
-    minus, plus, data = _side_traces(traces, kind)
-    t_minus = _dofs(family, minus)
-    t_plus = _dofs(family, plus)
-    t_plus[~w.has_plus] = 0.0
+    sides, data = _side_traces(traces, kind)
+    numerical = _dofs(family, sides)  # (ne, 2, ndof)
+    numerical[~w.has_plus, 1] = 0.0
+    t_minus, t_plus = numerical[:, 0], numerical[:, 1]
 
     P = w.response
     patch = _apply(P, t_minus) + _apply(np.eye(P.shape[1]) - P, t_plus)
@@ -369,9 +359,8 @@ def recover(
     coef = np.where(
         (lab == INTERIOR)[:, None],
         patch,
-        np.where((lab == _DATA_LABEL[kind])[:, None], _dofs(family, data), t_minus),
+        np.where((lab == _DATA_LABEL[kind])[:, None], _dofs(family, data[:, None]), t_minus),
     )
-    numerical = np.stack([t_minus, t_plus], axis=1)
     correction = coef[:, None] - numerical
     correction[~w.has_plus, 1] = 0.0
     if P.shape[1] == 1:  # one-dof families keep flat arrays
@@ -462,9 +451,10 @@ def local_oracle(mesh: Mesh, A: CoefficientField, F: int, jump, family: str) -> 
     Minimizes the A^{-1}- (flux) or A- (gradient) weighted L2 norm over raw
     monomial element spaces subject to the trace constraints: the normal
     (tangential) jump across ``F`` equals minus the given jump and all outer
-    patch traces vanish.  ``jump`` is a scalar for rt/bdm/ne and an
-    endpoint pair ``(c_s, c_e)`` for nd.  This routine never uses the
-    closed-form weights, so it serves as their independent check.
+    patch traces vanish.  ``jump`` is a scalar (or a one-entry array) for
+    rt/bdm/ne and an endpoint pair ``(c_s, c_e)`` for nd.  This routine
+    never uses the closed-form weights, so it serves as their independent
+    check.
     """
     lab = int(mesh.edge_label[F])
     is_flux = family in FLUX_FAMILIES
@@ -576,16 +566,6 @@ def local_oracle(mesh: Mesh, A: CoefficientField, F: int, jump, family: str) -> 
     )
 
 
-def _oracle_jumps(fld: RecoveredField, jumps: JumpSet) -> np.ndarray:
-    """Per-edge jump argument of :func:`local_oracle` for the field's kind,
-    zero on the edges where that jump is not defined."""
-    if fld.kind == "flux":
-        return np.where(jumps.flux_mask, jumps.flux, 0.0)
-    if fld.method == "mixed":
-        return np.where(jumps.grad_mask[:, None], jumps.grad_affine, 0.0)
-    return np.where(jumps.grad_mask, jumps.grad, 0.0)
-
-
 def _validate_against_oracle(fld: RecoveredField, A, jumps: JumpSet, mode="sample"):
     mesh = fld.mesh
     ne = mesh.n_edges
@@ -595,7 +575,7 @@ def _validate_against_oracle(fld: RecoveredField, A, jumps: JumpSet, mode="sampl
     # faults on every other edge
     sizes = [np.abs(a).reshape(ne, -1) for a in (fld.numerical_side, fld.correction_side, fld.coef)]
     scale = np.maximum(np.hstack(sizes).max(axis=1), 1e-30)
-    jump = _oracle_jumps(fld, jumps)
+    jump = jumps.masked(fld.kind)
     corr = fld.correction_side.reshape(ne, 2, -1)
     for F in sample:
         ora = local_oracle(mesh, A, int(F), jump[F], fld.family)

@@ -160,24 +160,19 @@ class DiscreteSolution:
 class EdgeTraces:
     """Per-edge traces of the numerical flux / gradient plus boundary data.
 
-    Constant normal-flux traces ``flux_minus/plus`` exist for the conforming
-    and nonconforming methods; constant tangential traces ``rho_minus/plus``
-    for the nonconforming method; affine tangential traces with endpoint
-    values ``d_s/e_minus/plus`` for the mixed method.  Entries are NaN where
-    a side or quantity does not exist.  ``g_neumann`` holds the Neumann data
-    per Neumann edge and ``dgD_dt`` the tangential slope of the interpolated
+    ``flux`` (conforming and nonconforming: constant normal traces) and
+    ``grad`` (nonconforming: constant tangential traces; mixed: affine
+    tangential traces by their values at ``s_F, e_F``) are ``[edge, side,
+    value]`` arrays of shape (ne, 2, k): side 0 is ``K-`` and side 1 ``K+``,
+    and k is 1 for a constant and 2 for an affine trace.  Entries are NaN
+    where a side does not exist.  ``g_neumann`` holds the Neumann data per
+    Neumann edge and ``dgD_dt`` the tangential slope of the interpolated
     Dirichlet data per Dirichlet edge.
     """
 
     method: str
-    flux_minus: np.ndarray | None = None
-    flux_plus: np.ndarray | None = None
-    rho_minus: np.ndarray | None = None
-    rho_plus: np.ndarray | None = None
-    d_s_minus: np.ndarray | None = None
-    d_e_minus: np.ndarray | None = None
-    d_s_plus: np.ndarray | None = None
-    d_e_plus: np.ndarray | None = None
+    flux: np.ndarray | None = None
+    grad: np.ndarray | None = None
     g_neumann: np.ndarray | None = None
     dgD_dt: np.ndarray | None = None
 
@@ -380,6 +375,25 @@ def mixed_divergence(mesh: Mesh, coef: np.ndarray) -> np.ndarray:
     return (coef[mesh.tri_edges] * mesh.tri_edge_sign * h).sum(axis=1) / mesh.tri_area
 
 
+def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:
+    """``[edge, side, value]`` array (ne, 2, k) of the traces
+    ``field(t, p) . direction`` of a vector field.
+
+    ``field(t, p)`` gives the (m, 2) field values on the side elements ``t``
+    at the points ``p``: ``s_F`` for ``k = 1`` (a constant trace), ``s_F``
+    then ``e_F`` for ``k = 2``.  Entries are NaN where an edge has no such
+    side.
+    """
+    out = np.full((mesh.n_edges, 2, k), np.nan)
+    for side in (0, 1):
+        F = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
+        t = mesh.edge_tris[F, side]
+        for j in range(k):
+            vals = field(t, mesh.vertices[mesh.edges[F, j]])
+            out[F, side, j] = (vals * direction[F]).sum(axis=1)
+    return out
+
+
 def edge_traces(
     mesh: Mesh, A: CoefficientField, solution: DiscreteSolution, data: ProblemData
 ) -> EdgeTraces:
@@ -399,40 +413,18 @@ def edge_traces(
     if solution.method in ("conforming", "nonconforming"):
         grad = solution.element_gradients()
         sigma_el = -np.einsum("tij,tj->ti", A.tensor, grad)
-        for name, side in (("flux_minus", 0), ("flux_plus", 1)):
-            vals = np.full(mesh.n_edges, np.nan)
-            has = mesh.edge_tris[:, side] >= 0
-            t = mesh.edge_tris[has, side]
-            vals[has] = (sigma_el[t] * mesh.edge_normal[has]).sum(axis=1)
-            setattr(tr, name, vals)
+        tr.flux = _per_side(mesh, mesh.edge_normal, lambda t, p: sigma_el[t])
         if solution.method == "nonconforming":
-            for name, side in (("rho_minus", 0), ("rho_plus", 1)):
-                vals = np.full(mesh.n_edges, np.nan)
-                has = mesh.edge_tris[:, side] >= 0
-                t = mesh.edge_tris[has, side]
-                vals[has] = (grad[t] * mesh.edge_tangent[has]).sum(axis=1)
-                setattr(tr, name, vals)
+            tr.grad = _per_side(mesh, mesh.edge_tangent, lambda t, p: grad[t])
         return tr
 
     if solution.method == "mixed":
-        ps = mesh.vertices[mesh.edges[:, 0]]
-        pe = mesh.vertices[mesh.edges[:, 1]]
-        for sname, ename, side in (
-            ("d_s_minus", "d_e_minus", 0),
-            ("d_s_plus", "d_e_plus", 1),
-        ):
-            vs = np.full(mesh.n_edges, np.nan)
-            ve = np.full(mesh.n_edges, np.nan)
-            has = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
-            t = mesh.edge_tris[has, side]
-            sig_s = mixed_flux_at(mesh, solution.flux_edge, t, ps[has])
-            sig_e = mixed_flux_at(mesh, solution.flux_edge, t, pe[has])
-            rho_s = -np.einsum("mij,mj->mi", A.inv[t], sig_s)
-            rho_e = -np.einsum("mij,mj->mi", A.inv[t], sig_e)
-            vs[has] = (rho_s * mesh.edge_tangent[has]).sum(axis=1)
-            ve[has] = (rho_e * mesh.edge_tangent[has]).sum(axis=1)
-            setattr(tr, sname, vs)
-            setattr(tr, ename, ve)
+
+        def rho(t, p):
+            sig = mixed_flux_at(mesh, solution.flux_edge, t, p)
+            return -np.einsum("mij,mj->mi", A.inv[t], sig)
+
+        tr.grad = _per_side(mesh, mesh.edge_tangent, rho, k=2)
         return tr
 
     raise ValueError(f"unknown method {solution.method!r}")

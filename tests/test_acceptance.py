@@ -139,7 +139,7 @@ def test_criterion_5_conformity_all_pairs(kellogg_prob):
         dir_ = mesh.dirichlet_edges
         coef = fld.coef if fld.coef.ndim == 2 else fld.coef[:, None]
         if fld.kind == "flux":
-            sm = tr.flux_minus[dir_, None]
+            sm = tr.flux[dir_, 0]
             exact_bc &= np.array_equal(coef[dir_], np.broadcast_to(sm, coef[dir_].shape))
         else:
             exact_bc &= np.array_equal(coef[dir_, 0], tr.dgD_dt[dir_])

@@ -4,6 +4,7 @@ import pytest
 from afemrec.mesh import (
     DIRICHLET,
     NEUMANN,
+    Mesh,
     MeshError,
     build_mesh,
     edge_patch,
@@ -229,6 +230,22 @@ def test_refinement_keeps_edge_normals():
             s0, e0, n0 = keys0[key]
             assert (s, e) == (s0, e0)
             assert np.abs(np.array(n0) - r.edge_normal[i]).max() < 1e-15
+
+
+def test_inherited_orientation_must_keep_boundary_normals_outward(square2):
+    m = square2
+    nv = m.n_vertices
+    keys = np.sort(m.edges, axis=1) @ np.array([nv, 1])
+    bnd = m.dirichlet_edges
+    order = np.argsort(keys[bnd])
+    labels = (keys[bnd][order], np.full(len(bnd), DIRICHLET))
+    F = bnd[0]
+    s, e = m.edges[F]
+    args = (m.vertices, m.triangles, m.tri_region, m.refinement_edge, labels)
+    kept = Mesh(*args, (keys[[F]], np.array([s]), np.array([e])))
+    assert np.array_equal(kept.edges, m.edges)
+    with pytest.raises(MeshError, match="points out of the domain"):
+        Mesh(*args, (keys[[F]], np.array([e]), np.array([s])))
 
 
 def test_mesh_text_roundtrip(tmp_path):

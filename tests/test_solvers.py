@@ -213,10 +213,10 @@ def test_conforming_traces_two_triangle_patch(square2):
         )  # u = a + b x + c y
         grad = plane[1:]
         expected = (-grad) @ square2.edge_normal[F]
-        got = tr.flux_minus[F] if side == 0 else tr.flux_plus[F]
+        got = tr.flux[F, side, 0]
         assert got == pytest.approx(expected, abs=1e-13)
     # |jump| = sqrt(2) for this configuration
-    assert abs(tr.flux_minus[F] - tr.flux_plus[F]) == pytest.approx(
+    assert abs(tr.flux[F, 0, 0] - tr.flux[F, 1, 0]) == pytest.approx(
         np.sqrt(2.0), abs=1e-13
     )
 
@@ -229,15 +229,15 @@ def test_traces_continuous_for_affine():
     sol = solve_conforming(mesh, A, data)
     tr = edge_traces(mesh, A, sol, data)
     ie = mesh.interior_edges
-    assert np.abs(tr.flux_minus[ie] - tr.flux_plus[ie]).max() < 1e-11
+    assert np.abs(tr.flux[ie, 0] - tr.flux[ie, 1]).max() < 1e-11
 
     solm = solve_mixed(mesh, A, data)
     trm = edge_traces(mesh, A, solm, data)
-    assert np.abs(trm.d_s_minus[ie] - trm.d_s_plus[ie]).max() < 1e-11
-    assert np.abs(trm.d_e_minus[ie] - trm.d_e_plus[ie]).max() < 1e-11
+    assert np.abs(trm.grad[ie, 0, 0] - trm.grad[ie, 1, 0]).max() < 1e-11
+    assert np.abs(trm.grad[ie, 0, 1] - trm.grad[ie, 1, 1]).max() < 1e-11
     # mixed tangential traces reproduce the constant exact gradient
     tang = mesh.edge_tangent @ grad
-    assert np.abs(trm.d_s_minus[ie] - tang[ie]).max() < 1e-10
+    assert np.abs(trm.grad[ie, 0, 0] - tang[ie]).max() < 1e-10
 
 
 def test_mixed_zero_flux_traces():
@@ -247,7 +247,7 @@ def test_mixed_zero_flux_traces():
     data = ProblemData(f=zero, g_D=zero)
     sol = solve_mixed(mesh, A, data)
     tr = edge_traces(mesh, A, sol, data)
-    for arr in (tr.d_s_minus, tr.d_e_minus):
+    for arr in (tr.grad[:, 0, 0], tr.grad[:, 0, 1]):
         assert np.nanmax(np.abs(arr)) < 1e-12
 
 
