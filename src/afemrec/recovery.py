@@ -43,10 +43,13 @@ residual estimators read.
 Every recovery is cross-checked (on a deterministic sample of edges, or all
 of them with ``validate="all"``) against :func:`local_oracle`, an
 independent constrained least-squares solve of the same patch minimization
-built from raw monomial element spaces.  A deviation above 1e-11 times the
-edge's own scale (its largest trace, correction or recovered dof) raises
-:class:`RecoveryError` -- this is the primary defense against algebra slips
-in the closed-form weights.
+built from raw monomial element spaces.  The oracle solves all checked
+patches of a recovery at once: their KKT systems are stacked by patch size
+(one or two elements) and solved by one ``np.linalg.solve`` per group, in
+blocks of at most ``_ORACLE_BLOCK`` edges.  A deviation above 1e-11 times
+the edge's own scale (its largest trace, correction or recovered dof), or
+a NaN, raises :class:`RecoveryError` -- this is the primary defense against
+algebra slips in the closed-form weights.
 
 Per-edge work touches only the two adjacent elements, so the edge loop is
 embarrassingly parallel; the implementation vectorizes it over all edges.
@@ -384,207 +387,174 @@ def recover(
 # ----------------------------------------------------------------------
 # independent patch oracle
 
+# edges per stacked KKT solve: 4096 two-sided BDM/ND systems (22 x 22) take
+# 16 MB, which bounds the memory of validate="all" on large meshes
+_ORACLE_BLOCK = 4096
 
-def _monomial_basis(family: str, center: np.ndarray):
-    """Raw local space as callables evaluating (npts, 2) -> (ndof, npts, 2)."""
-    cx, cy = center
 
-    def ev(points):
-        x = points[:, 0] - cx
-        y = points[:, 1] - cy
-        zero = np.zeros_like(x)
-        one = np.ones_like(x)
-        if family == "rt":
-            fields = [
-                np.stack([one, zero], axis=1),
-                np.stack([zero, one], axis=1),
-                np.stack([x, y], axis=1),
-            ]
-        elif family == "ne":
-            fields = [
-                np.stack([one, zero], axis=1),
-                np.stack([zero, one], axis=1),
-                np.stack([y, -x], axis=1),
-            ]
-        else:  # bdm / nd: full P1^2
-            fields = [
-                np.stack([one, zero], axis=1),
-                np.stack([zero, one], axis=1),
-                np.stack([x, zero], axis=1),
-                np.stack([y, zero], axis=1),
-                np.stack([zero, x], axis=1),
-                np.stack([zero, y], axis=1),
-            ]
-        return np.stack(fields)
+def _monomials(family: str, points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Raw local space centred at ``center`` (m, 2), evaluated at ``points``
+    (m, P, 2): an (m, nd, P, 2) array."""
+    x, y = np.moveaxis(points - center[:, None], -1, 0)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    if family == "rt":
+        fields = [(one, zero), (zero, one), (x, y)]
+    elif family == "ne":
+        fields = [(one, zero), (zero, one), (y, -x)]
+    else:  # bdm / nd: full P1^2
+        fields = [(one, zero), (zero, one), (x, zero), (y, zero), (zero, x), (zero, y)]
+    return np.stack([np.stack(f, axis=-1) for f in fields], axis=1)
 
-    return ev
+
+def _monomial_traces(mesh: Mesh, family: str, center: np.ndarray, eids: np.ndarray) -> np.ndarray:
+    """Normal (flux) or tangential (gradient) traces of the monomials
+    centred at ``center`` (m, 2) on the edges ``eids`` (m, k): at each
+    edge's midpoint for rt/ne and at its endpoints ``s, e`` for bdm/nd.
+    Returns (m, k * npts, nd), edge-major."""
+    m = len(eids)
+    ends = mesh.vertices[mesh.edges[eids]]  # (m, k, 2, 2)
+    pts = ends.mean(axis=2, keepdims=True) if family in ("rt", "ne") else ends
+    dirs = (mesh.edge_normal if family in FLUX_FAMILIES else mesh.edge_tangent)[eids]
+    dirs = np.broadcast_to(dirs[:, :, None], pts.shape).reshape(m, -1, 2)
+    basis = _monomials(family, pts.reshape(m, -1, 2), center)
+    return (basis * dirs[:, None]).sum(axis=-1).transpose(0, 2, 1)
+
+
+def _solve_patches(mesh: Mesh, A: CoefficientField, family: str, edges, nside: int, target):
+    """One stacked KKT solve for the patches of ``edges``, which all have
+    ``nside`` elements.
+
+    The unknowns are the monomial coefficients of each element; the
+    constraint rows are the trace of the jump across the edge (equal to
+    ``target``, (m, ndof)) and the traces on the two outer edges of each
+    element (zero).  Returns the element centres (m, nside, 2), the
+    monomial coefficients (m, nside, nd) and the side corrections in dof
+    form (m, nside, ndof).
+    """
+    m, ndof = target.shape
+    nd = 3 * ndof
+    nu = nside * nd
+    n = nu + ndof * (1 + 2 * nside)
+    tris = mesh.edge_tris[edges, :nside]
+    corners = mesh.vertices[mesh.triangles[tris]]  # (m, nside, 3, 2)
+    center = corners.mean(axis=2)
+
+    # energy blocks by the 3-midpoint rule (exact for quadratics); matmul,
+    # unlike einsum, rounds each patch the same whatever the batch size
+    mids = 0.5 * (corners[:, :, [1, 2, 0]] + corners[:, :, [2, 0, 1]])
+    vals = _monomials(family, mids.reshape(-1, 3, 2), center.reshape(-1, 2))
+    W = (A.inv if family in FLUX_FAMILIES else A.tensor)[tris].reshape(-1, 1, 2, 2)
+    flat = vals.reshape(len(vals), nd, -1)
+    blocks = (vals @ W.transpose(0, 1, 3, 2)).reshape(flat.shape) @ flat.transpose(0, 2, 1)
+    blocks *= (mesh.tri_area[tris].reshape(-1) / 3.0)[:, None, None]
+    blocks = blocks.reshape(m, nside, nd, nd)
+
+    kkt = np.zeros((m, n, n))
+    on_edge = []
+    for side in range(nside):
+        u = slice(side * nd, (side + 1) * nd)
+        kkt[:, u, u] = blocks[:, side]
+        # the edge itself, then the two outer edges of this element
+        slots = (mesh.edge_slot[edges, side, None] + [0, 1, 2]) % 3
+        patch_edges = mesh.tri_edges[tris[:, side, None], slots]
+        rows = _monomial_traces(mesh, family, center[:, side], patch_edges)
+        on_edge.append(rows[:, :ndof])
+        kkt[:, nu : nu + ndof, u] = rows[:, :ndof] if side == 0 else -rows[:, :ndof]
+        outer = nu + ndof * (1 + 2 * side)
+        kkt[:, outer : outer + 2 * ndof, u] = rows[:, ndof:]
+    kkt[:, :nu, nu:] = kkt[:, nu:, :nu].transpose(0, 2, 1)
+    rhs = np.zeros((m, n, 1))
+    rhs[:, nu : nu + ndof, 0] = target
+    coef = np.linalg.solve(kkt, rhs)[:, :nu, 0].reshape(m, nside, nd)
+    corr = (np.stack(on_edge, axis=1) @ coef[..., None])[..., 0] * _DOF_SIGN[family]
+    return center, coef, corr
 
 
 @dataclass
 class OracleCorrection:
-    """Correction field from the constrained least-squares patch solve.
+    """Correction fields from the constrained least-squares patch solves.
 
-    ``corr_minus`` / ``corr_plus`` are the side coefficients with respect to
-    the global edge dofs ((1,) or (2,) arrays; ``corr_plus`` is None on
-    boundary edges).  ``evaluate(side, points)`` evaluates the raw
-    correction field for the lifting / optimality checks.
+    For a single edge, ``corr_minus`` / ``corr_plus`` are the side
+    coefficients with respect to the global edge dofs ((1,) or (2,) arrays;
+    ``corr_plus`` is None on one-sided patches).  For an edge array they
+    carry a leading edge axis, and ``corr_plus`` is zero where the plus side
+    is absent.  ``evaluate(side, points)`` evaluates the raw correction
+    field at ``points`` ((P, 2) for a single edge, (m, P, 2) for an edge
+    array) for the lifting / optimality checks.
     """
 
-    edge: int
+    edge: int | np.ndarray
     family: str
     corr_minus: np.ndarray
     corr_plus: np.ndarray | None
-    _basis_eval: tuple = field(repr=False, default=None)
+    _center: np.ndarray = field(repr=False, default=None)
     _coef: np.ndarray = field(repr=False, default=None)
 
     def evaluate(self, side: int, points: np.ndarray) -> np.ndarray:
-        ev = self._basis_eval[side]
-        nd = ev(np.asarray(points, dtype=float))
-        n = nd.shape[0]
-        c = self._coef[side * n : (side + 1) * n] if side else self._coef[:n]
-        return np.tensordot(c, nd, axes=1)
+        if side == 1 and self.corr_plus is None:
+            raise ValueError(f"edge {self.edge} has a one-sided patch; there is no side 1")
+        single = np.ndim(self.edge) == 0
+        pts = np.asarray(points, dtype=float)
+        basis = _monomials(self.family, pts[None] if single else pts, self._center[:, side])
+        vals = np.einsum("md,mdpx->mpx", self._coef[:, side], basis)
+        return vals[0] if single else vals
 
 
-def local_oracle(mesh: Mesh, A: CoefficientField, F: int, jump, family: str) -> OracleCorrection:
-    """Ground-truth patch correction by constrained least squares.
+def local_oracle(mesh: Mesh, A: CoefficientField, F, jump, family: str) -> OracleCorrection:
+    """Ground-truth patch corrections by constrained least squares.
 
     Minimizes the A^{-1}- (flux) or A- (gradient) weighted L2 norm over raw
     monomial element spaces subject to the trace constraints: the normal
     (tangential) jump across ``F`` equals minus the given jump and all outer
-    patch traces vanish.  ``jump`` is a scalar (or a one-entry array) for
-    rt/bdm/ne and an endpoint pair ``(c_s, c_e)`` for nd.  This routine
-    never uses the closed-form weights, so it serves as their independent
-    check.
+    patch traces vanish.  ``F`` is one edge or a 1-D edge array; ``jump``
+    holds one value per edge (a scalar or one-entry array for a single
+    edge), or one endpoint pair ``(c_s, c_e)`` per edge for nd.  The
+    patches are grouped by their number of elements and solved as stacked
+    KKT systems, ``_ORACLE_BLOCK`` edges per solve.  This routine never uses
+    the closed-form weights, so it serves as their independent check.
     """
-    lab = int(mesh.edge_label[F])
-    is_flux = family in FLUX_FAMILIES
-    if (is_flux and lab == DIRICHLET) or (not is_flux and lab == NEUMANN):
-        nd = 1 if family in ("rt", "ne") else 2
-        return OracleCorrection(
-            edge=F,
-            family=family,
-            corr_minus=np.zeros(nd),
-            corr_plus=None,
-            _basis_eval=(lambda p: np.zeros((1, len(p), 2)),) * 2,
-            _coef=np.zeros(2),
-        )
-
-    elements = [t for t in mesh.edge_tris[F] if t >= 0]
-    nside = len(elements)
-    evs = []
-    ndof_el = []
-    for t in elements:
-        center = mesh.vertices[mesh.triangles[t]].mean(axis=0)
-        evs.append(_monomial_basis(family, center))
-        ndof_el.append(3 if family in ("rt", "ne") else 6)
-    offsets = np.concatenate([[0], np.cumsum(ndof_el)])
-    ntot = offsets[-1]
-
-    weight = A.inv if is_flux else A.tensor
-    direction = mesh.edge_normal[F] if is_flux else mesh.edge_tangent[F]
-
-    # energy matrix by the 3-midpoint rule (exact for quadratics)
-    M = np.zeros((ntot, ntot))
-    for i, t in enumerate(elements):
-        c = mesh.vertices[mesh.triangles[t]]
-        pts = 0.5 * (c[[1, 2, 0]] + c[[2, 0, 1]])
-        vals = evs[i](pts)  # (nd, 3, 2)
-        flat = vals.reshape(len(vals), -1)
-        wflat = (vals @ weight[t].T).reshape(len(vals), -1)
-        blk = (wflat @ flat.T) * (mesh.tri_area[t] / 3.0)
-        M[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = blk
-
-    # constraint rows: trace functionals at edge points
-    def trace_rows(i, eid, npts):
-        s = mesh.vertices[mesh.edges[eid, 0]]
-        e = mesh.vertices[mesh.edges[eid, 1]]
-        pts = np.array([0.5 * (s + e)]) if npts == 1 else np.array([s, e])
-        d = mesh.edge_normal[eid] if is_flux else mesh.edge_tangent[eid]
-        vals = evs[i](pts)  # (nd, npts, 2)
-        rows = np.zeros((npts, ntot))
-        rows[:, offsets[i] : offsets[i + 1]] = (vals @ d).T
-        return rows
-
-    npts_f = 1 if family in ("rt", "ne") else 2
-    C_rows = []
-    d_vals = []
-    # jump constraint on F: [trace] = -jump
-    jf = np.atleast_1d(np.asarray(jump, dtype=float))
-    if family in ("rt", "ne"):
-        target = np.array([-jf[0]])
-    else:
-        if jf.size == 1:
-            jf = np.array([jf[0], jf[0]])
-        target = -jf
-    rowsF = trace_rows(0, F, npts_f)
-    if nside == 2:
-        rowsF = rowsF - trace_rows(1, F, npts_f)
-    C_rows.append(rowsF)
-    d_vals.append(target)
-    # zero outer traces
-    for i, t in enumerate(elements):
-        for eid in mesh.tri_edges[t]:
-            if eid == F:
-                continue
-            rows = trace_rows(i, int(eid), npts_f)
-            C_rows.append(rows)
-            d_vals.append(np.zeros(rows.shape[0]))
-    C = np.vstack(C_rows)
-    d = np.concatenate(d_vals)
-
-    nc = C.shape[0]
-    kkt = np.zeros((ntot + nc, ntot + nc))
-    kkt[:ntot, :ntot] = M
-    kkt[:ntot, ntot:] = C.T
-    kkt[ntot:, :ntot] = C
-    rhs = np.concatenate([np.zeros(ntot), d])
-    sol = np.linalg.solve(kkt, rhs)
-    coef = sol[:ntot]
-
-    # extract side coefficients from endpoint / midpoint traces
-    s = mesh.vertices[mesh.edges[F, 0]]
-    e = mesh.vertices[mesh.edges[F, 1]]
-
-    def side_coef(i):
-        block = coef[offsets[i] : offsets[i + 1]]
-        if family in ("rt", "ne"):
-            mid = np.tensordot(block, evs[i](np.array([0.5 * (s + e)])), axes=1)
-            return np.array([mid[0] @ direction])
-        vals_s = np.tensordot(block, evs[i](np.array([s, e])), axes=1)  # (2, 2)
-        tr = vals_s @ direction
-        if is_flux:
-            return np.array([tr[0], tr[1]])
-        return np.array([tr[0], -tr[1]])
-
-    return OracleCorrection(
-        edge=F,
-        family=family,
-        corr_minus=side_coef(0),
-        corr_plus=side_coef(1) if nside == 2 else None,
-        _basis_eval=tuple(evs) + ((None,) if nside == 1 else ()),
-        _coef=coef,
-    )
+    edges = np.atleast_1d(F)
+    m = len(edges)
+    ndof = len(_DOF_SIGN[family])
+    target = -np.broadcast_to(np.asarray(jump, dtype=float).reshape(m, -1), (m, 2))[:, :ndof]
+    two = mesh.edge_tris[edges, 1] >= 0
+    # the flux correction of a Dirichlet edge and the gradient correction of
+    # a Neumann edge vanish identically
+    zero = mesh.edge_label[edges] == (DIRICHLET if family in FLUX_FAMILIES else NEUMANN)
+    center = np.zeros((m, 2, 2))
+    coef = np.zeros((m, 2, 3 * ndof))
+    corr = np.zeros((m, 2, ndof))
+    for nside in (1, 2):
+        group = np.flatnonzero(~zero & (two == (nside == 2)))
+        for start in range(0, len(group), _ORACLE_BLOCK):
+            b = group[start : start + _ORACLE_BLOCK]
+            out = _solve_patches(mesh, A, family, edges[b], nside, target[b])
+            center[b, :nside], coef[b, :nside], corr[b, :nside] = out
+    if np.ndim(F):
+        return OracleCorrection(edges, family, corr[:, 0], corr[:, 1], center, coef)
+    plus = corr[0, 1] if two[0] else None
+    return OracleCorrection(int(F), family, corr[0, 0], plus, center, coef)
 
 
 def _validate_against_oracle(fld: RecoveredField, A, jumps: JumpSet, mode="sample"):
     mesh = fld.mesh
     ne = mesh.n_edges
     sample = np.arange(0, ne, 1 if mode == "all" else max(1, ne // 64))
+    ora = local_oracle(mesh, A, sample, jumps.masked(fld.kind)[sample], fld.family)
     # per-edge scale: on graded meshes the traces near a singularity are
     # many orders larger than elsewhere, and a global scale would hide
     # faults on every other edge
-    sizes = [np.abs(a).reshape(ne, -1) for a in (fld.numerical_side, fld.correction_side, fld.coef)]
-    scale = np.maximum(np.hstack(sizes).max(axis=1), 1e-30)
-    jump = jumps.masked(fld.kind)
-    corr = fld.correction_side.reshape(ne, 2, -1)
-    for F in sample:
-        ora = local_oracle(mesh, A, int(F), jump[F], fld.family)
-        diff = np.abs(corr[F, 0] - ora.corr_minus).max()
-        if ora.corr_plus is not None:
-            diff = max(diff, np.abs(corr[F, 1] - ora.corr_plus).max())
-        if diff > 1e-11 * scale[F]:
-            raise RecoveryError(
-                f"edge {F} ({fld.method}/{fld.family}): explicit correction "
-                f"deviates from the patch oracle by {diff:.3e} "
-                f"(scale {scale[F]:.3e})"
-            )
+    fields = (fld.numerical_side, fld.correction_side, fld.coef)
+    sizes = np.hstack([np.abs(a.reshape(ne, -1)[sample]) for a in fields])
+    scale = np.maximum(sizes.max(axis=1), 1e-30)
+    corr = fld.correction_side.reshape(ne, 2, -1)[sample]
+    diff = np.abs(corr - np.stack([ora.corr_minus, ora.corr_plus], axis=1)).max(axis=(1, 2))
+    # a NaN deviation or scale fails the test
+    bad = np.flatnonzero(~(diff <= 1e-11 * scale))
+    if len(bad):
+        i = bad[0]
+        raise RecoveryError(
+            f"edge {sample[i]} ({fld.method}/{fld.family}): explicit correction "
+            f"deviates from the patch oracle by {diff[i]:.3e} "
+            f"(scale {scale[i]:.3e})"
+        )

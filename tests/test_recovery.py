@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,8 @@ def test_oracle_flux_boundary_cases(square2):
     ora = local_oracle(square2, A, F, 1.23, "rt")
     assert np.abs(ora.corr_minus).max() == 0.0
     assert ora.corr_plus is None
+    with pytest.raises(ValueError, match=f"edge {F} "):
+        ora.evaluate(1, square2.vertices)
 
 
 def test_oracle_neumann_pure_lifting():
@@ -276,6 +280,9 @@ def test_oracle_neumann_pure_lifting():
         pts2 = (1 - t) * s2 + t * e2
         vals2 = ora.evaluate(0, pts2)
         assert np.abs(vals2 @ mesh.edge_normal[eb]).max() < 1e-12
+    assert ora.corr_plus is None
+    with pytest.raises(ValueError, match=f"edge {F} "):
+        ora.evaluate(1, pts)
 
 
 def test_oracle_interior_lifting_and_jump():
@@ -306,6 +313,22 @@ def test_oracle_interior_lifting_and_jump():
                 pts2 = (1 - tpar) * s2 + tpar * e2
                 d2 = mesh.edge_normal[eb] if fam in ("rt", "bdm") else mesh.edge_tangent[eb]
                 assert np.abs(ora.evaluate(side, pts2) @ d2).max() < 1e-11
+
+
+def test_oracle_blocks_agree(monkeypatch):
+    # splitting the stacked solves into blocks changes no correction
+    mesh, A, data = _mixed_bc_problem()
+    sol, tr = _solve(mesh, A, data, "nonconforming")
+    edges = np.arange(mesh.n_edges)
+    for kind, family in (("flux", "bdm"), ("gradient", "nd")):
+        jump = compute_jumps(mesh, A, tr, "nonconforming").masked(kind)
+        whole = local_oracle(mesh, A, edges, jump, family)
+        monkeypatch.setattr(recovery, "_ORACLE_BLOCK", 7)
+        blocked = local_oracle(mesh, A, edges, jump, family)
+        monkeypatch.undo()
+        scale = np.abs(whole.corr_minus).max()
+        assert np.abs(blocked.corr_minus - whole.corr_minus).max() <= 1e-13 * scale
+        assert np.abs(blocked.corr_plus - whole.corr_plus).max() <= 1e-13 * scale
 
 
 def test_variational_optimality():
@@ -457,6 +480,31 @@ def graded_problem():
     return mesh, problem.coefficient(mesh), problem.data
 
 
+def _oracle_names():
+    """Every name read by ``local_oracle`` and by the functions and classes
+    of ``afemrec.recovery`` that it reaches, nested code included."""
+    names, seen, todo = set(), set(), [recovery.local_oracle]
+    while todo:
+        obj = todo.pop()
+        if obj in seen:
+            continue
+        seen.add(obj)
+        if isinstance(obj, type):
+            todo.extend(v for v in vars(obj).values() if inspect.isfunction(v))
+            continue
+        own, codes = set(), [obj.__code__]
+        while codes:
+            code = codes.pop()
+            own.update(code.co_names)
+            codes.extend(c for c in code.co_consts if inspect.iscode(c))
+        names |= own
+        for name in own:
+            target = getattr(recovery, name, None)
+            if getattr(target, "__module__", None) == recovery.__name__:
+                todo.append(target)
+    return names
+
+
 PERTURBED_PAIRS = [
     ("conforming", "rt"),
     ("conforming", "bdm"),
@@ -473,7 +521,7 @@ PERTURBED_PAIRS = [
 )
 def test_oracle_catches_perturbed_weight(request, monkeypatch, method, family, graded):
     # the oracle is independent of the closed-form weights ...
-    assert "patch_weights" not in recovery.local_oracle.__code__.co_names
+    assert not _oracle_names() & {"patch_weights", "PatchWeights", "response"}
     mesh, A, data = request.getfixturevalue("graded_problem") if graded else _interface_problem()
     sol, tr = _solve(mesh, A, data, method)
     fld = recover(mesh, A, tr, method, family, validate="all")
@@ -496,3 +544,44 @@ def test_oracle_catches_perturbed_weight(request, monkeypatch, method, family, g
     monkeypatch.setattr(recovery, "patch_weights", perturbed)
     with pytest.raises(RecoveryError):
         recover(mesh, A, tr, method, family, validate="all")
+
+
+@pytest.mark.parametrize("validate", ["sample", "all"])
+def test_oracle_catches_nan_weight(monkeypatch, validate):
+    # a NaN weight on a sampled interior edge makes NaN corrections there,
+    # which no comparison with the oracle may let pass
+    mesh, A, data = _interface_problem()
+    sol, tr = _solve(mesh, A, data, "conforming")
+    sample = np.arange(0, mesh.n_edges, max(1, mesh.n_edges // 64))
+    F = int(sample[np.isin(sample, mesh.interior_edges)][0])
+    exact_weights = recovery.patch_weights
+
+    def perturbed(mesh_, A_, family_):
+        w = exact_weights(mesh_, A_, family_)
+        w.response[F, 0, 0] = np.nan
+        return w
+
+    monkeypatch.setattr(recovery, "patch_weights", perturbed)
+    with pytest.raises(RecoveryError, match=f"edge {F} "):
+        recover(mesh, A, tr, "conforming", "rt", validate=validate)
+
+
+@pytest.mark.parametrize("method,family", ALL_PAIRS)
+def test_oracle_check_coverage(monkeypatch, method, family):
+    # one oracle call per recovery, on the fixed sample or on every edge
+    mesh, A, data = _interface_problem()
+    sol, tr = _solve(mesh, A, data, method)
+    calls = []
+    oracle = recovery.local_oracle
+
+    def recording(mesh_, A_, F, jump, family_):
+        calls.append(np.array(F))
+        return oracle(mesh_, A_, F, jump, family_)
+
+    monkeypatch.setattr(recovery, "local_oracle", recording)
+    ne = mesh.n_edges
+    recover(mesh, A, tr, method, family)
+    recover(mesh, A, tr, method, family, validate="all")
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], np.arange(0, ne, max(1, ne // 64)))
+    assert np.array_equal(calls[1], np.arange(ne))
