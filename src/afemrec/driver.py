@@ -140,7 +140,8 @@ def dorfler_mark(eta_elements: np.ndarray, theta: float) -> np.ndarray:
 
 
 def count_dofs(mesh: Mesh, method: str) -> int:
-    """Number of unknowns of the linear system actually solved."""
+    """Number of discrete unknowns: free vertex values (P1), free edge values
+    (CR), or RT0 + P0 dofs (mixed), which is not the size of the system solved."""
     if method == "conforming":
         return int(mesh.n_vertices - len(mesh.dirichlet_vertices))
     if method == "nonconforming":

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _weighted_norm_sq
 from .mesh import INTERIOR, NEUMANN, Mesh
 from .recovery import RecoveredField, compute_jumps
-from .solvers import CoefficientField, DiscreteSolution, EdgeTraces, mixed_flux_at
+from .solvers import CoefficientField, DiscreteSolution, EdgeTraces
 
 __all__ = [
     "IndicatorSet",
@@ -260,6 +260,8 @@ def true_energy_error(
         singular |= _touches_point(mesh, p)
     regular = np.flatnonzero(~singular)
     singular = np.flatnonzero(singular)
+    if solution.method == "mixed":
+        flux = solution.flux_vertex_vectors()
 
     def integrate(tris, coords):
         """Quadrature over given sub-triangles belonging to elements ``tris``."""
@@ -276,11 +278,9 @@ def true_energy_error(
             integ = np.einsum("mij,mqj,mqi->mq", A.tensor[tris], diff, diff)
         else:
             sig = -np.einsum("mij,mqj->mqi", A.tensor[tris], g)
-            m, q = pts.shape[:2]
-            flat_tris = np.repeat(tris, q)
-            sig_m = mixed_flux_at(
-                mesh, solution.flux_edge, flat_tris, pts.reshape(-1, 2)
-            ).reshape(m, q, 2)
+            sig_m = mesh.eval_vertex_field(
+                flux, np.repeat(tris, pts.shape[1]), pts.reshape(-1, 2)
+            ).reshape(pts.shape)
             diff = sig - sig_m
             integ = np.einsum("mij,mqj,mqi->mq", A.inv[tris], diff, diff)
         return float((integ @ TRI_QUAD_WEIGHTS * areas).sum())

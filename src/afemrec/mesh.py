@@ -262,6 +262,14 @@ class Mesh:
     def tri_barycenters(self):
         return self.tri_coords().mean(axis=1)
 
+    def eval_vertex_field(self, C, tris, points) -> np.ndarray:
+        """Values ``sum_v lambda_v(p) C[t, v]`` of a field in vertex-vector
+        form ``C`` (nt, 3, 2) on triangles ``tris`` (m,) at physical
+        ``points`` (m, 2)."""
+        x = self.vertices[self.triangles[tris]]
+        lam = 1.0 + np.einsum("mvd,mvd->mv", self.grad_lambda[tris], points[:, None] - x)
+        return np.einsum("mv,mvx->mx", lam, C[tris])
+
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles (radians)."""
         c = self.tri_coords()

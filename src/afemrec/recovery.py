@@ -314,15 +314,7 @@ class RecoveredField:
     def eval_vertex_field(self, C, tris, points) -> np.ndarray:
         """Evaluate a vertex-vector field on triangles ``tris`` at physical
         ``points`` (m, 2)."""
-        mesh = self.mesh
-        tris = np.asarray(tris)
-        lam = np.empty((len(tris), 3))
-        for l in range(3):
-            xl = mesh.vertices[mesh.triangles[tris, l]]
-            lam[:, l] = 1.0 + np.einsum(
-                "md,md->m", mesh.grad_lambda[tris, l], points - xl
-            )
-        return np.einsum("mv,mvx->mx", lam, C[tris])
+        return self.mesh.eval_vertex_field(C, tris, points)
 
 
 def recover(

@@ -1,13 +1,18 @@
 """The three discretizations of the diffusion problem and their edge traces.
 
 * P1 conforming Galerkin (`solve_conforming`),
-* lowest-order Raviart-Thomas / P0 mixed saddle point (`solve_mixed`),
+* lowest-order Raviart-Thomas / P0 mixed method, hybridized (`solve_mixed`),
 * Crouzeix-Raviart nonconforming (`solve_nonconforming`).
+
+All three take one path: element blocks, one assembly, Dirichlet values
+fixed and one checked direct solve of an SPD system.  The mixed method
+condenses each element onto one multiplier per edge, solved like the
+Crouzeix-Raviart edge values, and recovers flux and value elementwise.
 
 All data callables (``f``, ``g_D``, ``g_N``, exact solution and gradient)
 take coordinate arrays ``(x, y)`` and must broadcast.  Dirichlet data is
 imposed by interpolation at vertices (P1) and edge midpoints (CR / RT
-right-hand sides), which is exact for the piecewise-affine boundary data the
+multipliers), which is exact for the piecewise-affine boundary data the
 formulas assume.  Right-hand sides use the 3-point edge-midpoint rule, exact
 for quadratic integrands.
 
@@ -23,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import _vertex_vectors, _weighted_gram
+from .basis import _vertex_vectors
 from .mesh import Mesh
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "solve_mixed",
     "solve_nonconforming",
     "edge_traces",
-    "mixed_flux_at",
     "mixed_divergence",
 ]
 
@@ -154,6 +158,15 @@ class DiscreteSolution:
             vals = self.u_edge[mesh.tri_edges]
             return np.einsum("tl,tld->td", vals, -2.0 * mesh.grad_lambda)
         raise ValueError("element_gradients needs a P1 or CR solution")
+
+    def flux_vertex_vectors(self) -> np.ndarray:
+        """(nt, 3, 2) vertex-vector form of the mixed flux: the RT0 field
+        is ``sum_v lambda_v C[:, v]``."""
+        if self.method != "mixed":
+            raise ValueError("flux_vertex_vectors needs a mixed solution")
+        mesh = self.mesh
+        out = self.flux_edge[mesh.tri_edges] * mesh.tri_edge_sign
+        return np.einsum("tl,tlvd->tvd", out, _rt_outward(mesh))
 
 
 @dataclass
@@ -276,17 +289,17 @@ def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> Disc
     return DiscreteSolution(method="conforming", mesh=mesh, u_vertex=u)
 
 
-def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
-    """Crouzeix-Raviart solution with midpoint Dirichlet interpolation."""
+def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads, what):
+    """Crouzeix-Raviart system on the edges with element loads ``loads``
+    (nt, 3): the flux ``g_N h`` is taken out on Neumann edges and ``g_D``
+    fixed at the Dirichlet edge midpoints."""
     ne = mesh.n_edges
     # grad of the CR basis on edge l is -2 grad lambda_l
     K = _assemble(4.0 * _p1_stiffness(mesh, A), mesh.tri_edges, ne)
 
     b = np.zeros(ne)
-    fm = _rhs_midpoint_rule(mesh, data.f)
-    w = mesh.tri_area / 3.0
     for l in range(3):
-        np.add.at(b, mesh.tri_edges[:, l], w * fm[:, l])
+        np.add.at(b, mesh.tri_edges[:, l], loads[:, l])
 
     gN = _neumann_values(mesh, data)
     neu = mesh.neumann_edges
@@ -295,78 +308,45 @@ def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> D
     u = np.zeros(ne)
     fixed = mesh.dirichlet_edges
     u[fixed] = _eval(data.g_D, mesh.edge_midpoints()[fixed])
-    u = _solve_dirichlet(K, b, u, fixed, "nonconforming")
+    return _solve_dirichlet(K, b, u, fixed, what)
+
+
+def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
+    """Crouzeix-Raviart solution with midpoint Dirichlet interpolation."""
+    loads = (mesh.tri_area / 3.0)[:, None] * _rhs_midpoint_rule(mesh, data.f)
+    u = _solve_edge_system(mesh, A, data, loads, "nonconforming")
     return DiscreteSolution(method="nonconforming", mesh=mesh, u_edge=u)
 
 
 def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
-    """RT0 x P0 mixed saddle-point solution.
+    """RT0 x P0 mixed solution, by hybridization.
 
-    Neumann edges carry fixed flux coefficients ``g_N``; the second block
-    equation enforces elementwise ``div sigma = mean(f)`` exactly.
+    Condensing each element's outward fluxes and value onto one multiplier
+    ``lambda`` per edge leaves, for constant ``A_K``, the Crouzeix-Raviart
+    stiffness block with the load ``|K| fbar / 3`` per edge, ``fbar`` the
+    mean of ``f`` (Marini, SINUM 1985).  Then ``sigma = -A grad_h lambda +
+    fbar (x - x_K) / 2`` and ``u = mean(lambda) + fbar int_K A^{-1}
+    (x - x_K).(x - x_K) / (4 |K|)``, ``x_K`` the barycenter.  Each edge
+    takes its flux from ``K-``, a Neumann edge exactly ``g_N``.
     """
-    nt, ne = mesh.n_triangles, mesh.n_edges
-    # RT basis of every local edge l, signed so that it measures n_F
-    opp = np.tile(np.arange(3), nt)
-    tri = np.repeat(np.arange(nt), 3)
-    c = _vertex_vectors(
-        "rt",
-        mesh.vertices[mesh.triangles[tri]],
-        opp,
-        (opp + 1) % 3,
-        (opp + 2) % 3,
-        mesh.edge_length[mesh.tri_edges].ravel(),
-        mesh.tri_area[tri],
-        None,
-        sign=mesh.tri_edge_sign.ravel(),
-    ).reshape(nt, 3, 3, 2)
-    M = _assemble(_weighted_gram(A.inv, c, mesh.tri_area), mesh.tri_edges, ne)
+    fbar = _rhs_midpoint_rule(mesh, data.f).mean(axis=1)
+    loads = np.repeat((mesh.tri_area * fbar / 3.0)[:, None], 3, axis=1)
+    lam = _solve_edge_system(mesh, A, data, loads, "mixed")
 
-    div = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]  # (nt,3) * h
-    B = sp.coo_matrix(
-        (div.ravel(), (tri, mesh.tri_edges.ravel())), shape=(nt, ne)
-    ).tocsr()
+    cr = DiscreteSolution(method="nonconforming", mesh=mesh, u_edge=lam)
+    flux = -np.einsum("tij,tj->ti", A.tensor, cr.element_gradients())
+    km = mesh.edge_tris[:, 0]
+    # (x - x_K) . n_F = H_F / 3 on the edge, H_F the height of K- over it
+    height = 2.0 * mesh.tri_area[km] / mesh.edge_length
+    sigma = (flux[km] * mesh.edge_normal).sum(axis=1) + fbar[km] * height / 6.0
+    neu = mesh.neumann_edges
+    sigma[neu] = _neumann_values(mesh, data)[neu]
 
-    G = np.zeros(ne)
-    dir_ = mesh.dirichlet_edges
-    # g_D is evaluated one midpoint at a time: numpy's array loops for the
-    # transcendental functions may round differently from its scalar ones,
-    # which would move the mixed solution by an ulp
-    gD = np.array([_eval(data.g_D, p) for p in mesh.edge_midpoints()[dir_]])
-    G[dir_] = -gD * mesh.edge_length[dir_]
-
-    fm = _rhs_midpoint_rule(mesh, data.f)
-    Fv = mesh.tri_area * fm.mean(axis=1)
-
-    sigma = np.zeros(ne)
-    fixed = mesh.neumann_edges
-    gN = _neumann_values(mesh, data)
-    sigma[fixed] = np.where(np.isnan(gN[fixed]), 0.0, gN[fixed])
-    free = np.setdiff1d(np.arange(ne), fixed)
-
-    Mf = M[free][:, free]
-    Bf = B[:, free]
-    rhs1 = G[free] - (M[free][:, fixed] @ sigma[fixed] if fixed.size else 0.0)
-    rhs2 = Fv - (B[:, fixed] @ sigma[fixed] if fixed.size else 0.0)
-    S = sp.bmat([[Mf, -Bf.T], [Bf, None]], format="csc")
-    rhs = np.concatenate([rhs1, rhs2])
-    x = _solve_checked(S, rhs, "mixed")
-    sigma[free] = x[: free.size]
-    u = x[free.size:]
+    d = mesh.tri_coords() - mesh.tri_barycenters()[:, None]
+    # int_K (x - x_K)(x - x_K)^T = |K| / 12 sum_v d_v d_v^T
+    moment = np.einsum("tij,tvj,tvi->t", A.inv, d, d) / 48.0
+    u = lam[mesh.tri_edges].mean(axis=1) + fbar * moment
     return DiscreteSolution(method="mixed", mesh=mesh, flux_edge=sigma, u_tri=u)
-
-
-def mixed_flux_at(mesh: Mesh, coef: np.ndarray, tris: np.ndarray, points: np.ndarray):
-    """Evaluate the RT0 field with edge coefficients ``coef`` on the given
-    triangles at the given physical points.  ``tris`` (m,), ``points`` (m, 2);
-    returns (m, 2)."""
-    coords = mesh.vertices[mesh.triangles[tris]]  # (m, 3, 2)
-    h = mesh.edge_length[mesh.tri_edges[tris]]  # (m, 3)
-    H = 2.0 * mesh.tri_area[tris, None] / h
-    sgn = mesh.tri_edge_sign[tris]
-    w = coef[mesh.tri_edges[tris]] * sgn / H  # (m, 3)
-    diff = points[:, None, :] - coords  # (m, 3, 2): x - x_opp(l)
-    return np.einsum("ml,mld->md", w, diff)
 
 
 def mixed_divergence(mesh: Mesh, coef: np.ndarray) -> np.ndarray:
@@ -375,21 +355,40 @@ def mixed_divergence(mesh: Mesh, coef: np.ndarray) -> np.ndarray:
     return (coef[mesh.tri_edges] * mesh.tri_edge_sign * h).sum(axis=1) / mesh.tri_area
 
 
+def _rt_outward(mesh: Mesh) -> np.ndarray:
+    """(nt, 3, 3, 2) vertex-vector form of every element's RT0 basis:
+    ``[t, l]`` is the field of local edge ``l`` with unit normal trace along
+    the outward normal of triangle ``t``."""
+    nt = mesh.n_triangles
+    opp = np.tile(np.arange(3), nt)
+    tri = np.repeat(np.arange(nt), 3)
+    return _vertex_vectors(
+        "rt",
+        mesh.vertices[mesh.triangles[tri]],
+        opp,
+        (opp + 1) % 3,
+        (opp + 2) % 3,
+        mesh.edge_length[mesh.tri_edges].ravel(),
+        mesh.tri_area[tri],
+        None,
+    ).reshape(nt, 3, 3, 2)
+
+
 def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:
     """``[edge, side, value]`` array (ne, 2, k) of the traces
-    ``field(t, p) . direction`` of a vector field.
+    ``field(t, v) . direction`` of a vector field.
 
-    ``field(t, p)`` gives the (m, 2) field values on the side elements ``t``
-    at the points ``p``: ``s_F`` for ``k = 1`` (a constant trace), ``s_F``
-    then ``e_F`` for ``k = 2``.  Entries are NaN where an edge has no such
-    side.
+    ``field(t, v)`` gives the (m, 2) field values on the side elements ``t``
+    at their local vertices ``v``: ``s_F`` for ``k = 1`` (a constant trace),
+    ``s_F`` then ``e_F`` for ``k = 2``.  Entries are NaN where an edge has no
+    such side.
     """
     out = np.full((mesh.n_edges, 2, k), np.nan)
     for side in (0, 1):
         F = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
         t = mesh.edge_tris[F, side]
-        for j in range(k):
-            vals = field(t, mesh.vertices[mesh.edges[F, j]])
+        for j, loc in enumerate((mesh.edge_loc_s, mesh.edge_loc_e)[:k]):
+            vals = field(t, loc[F, side])
             out[F, side, j] = (vals * direction[F]).sum(axis=1)
     return out
 
@@ -419,12 +418,8 @@ def edge_traces(
         return tr
 
     if solution.method == "mixed":
-
-        def rho(t, p):
-            sig = mixed_flux_at(mesh, solution.flux_edge, t, p)
-            return -np.einsum("mij,mj->mi", A.inv[t], sig)
-
-        tr.grad = _per_side(mesh, mesh.edge_tangent, rho, k=2)
+        rho = -np.einsum("tij,tvj->tvi", A.inv, solution.flux_vertex_vectors())
+        tr.grad = _per_side(mesh, mesh.edge_tangent, lambda t, v: rho[t, v], k=2)
         return tr
 
     raise ValueError(f"unknown method {solution.method!r}")

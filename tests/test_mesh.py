@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afemrec.basis import LocalTriangleFrame
 from afemrec.mesh import (
     DIRICHLET,
     NEUMANN,
@@ -302,3 +303,16 @@ def test_unit_square_mesh():
     m = unit_square_mesh(3)
     assert m.n_triangles == 18
     assert m.tri_area.sum() == pytest.approx(1.0)
+
+
+def test_eval_vertex_field_matches_per_triangle_barycentric():
+    mesh = refine(initial_kellogg_mesh(2), [0, 3])
+    rng = np.random.default_rng(3)
+    C = rng.normal(size=(mesh.n_triangles, 3, 2))
+    tris = rng.integers(0, mesh.n_triangles, 40)
+    lam = rng.dirichlet(np.ones(3), size=40)
+    points = np.einsum("mv,mvx->mx", lam, mesh.tri_coords()[tris])
+    got = mesh.eval_vertex_field(C, tris, points)
+    for t, p, g in zip(tris, points, got):
+        frame = LocalTriangleFrame.from_vertices(*mesh.tri_coords()[t])
+        assert np.allclose(g, frame.barycentric(p) @ C[t], rtol=1e-13, atol=1e-13)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from afemrec.mesh import build_mesh, unit_square_mesh
+from afemrec.basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
+from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
+from afemrec.problems import kellogg_problem
 from afemrec.solvers import (
     CoefficientField,
     DiscreteSolution,
@@ -15,6 +17,11 @@ from afemrec.solvers import (
 )
 
 TENSOR = np.array([[2.0, 0.5], [0.5, 1.0]])
+SOLVERS = {
+    "conforming": solve_conforming,
+    "mixed": solve_mixed,
+    "nonconforming": solve_nonconforming,
+}
 
 
 def affine_data(A):
@@ -276,3 +283,120 @@ def test_missing_neumann_data_raises():
     data = ProblemData(f=zero, g_D=zero)  # no g_N
     with pytest.raises(SolverError):
         solve_conforming(mesh, A, data)
+
+
+@pytest.mark.parametrize("method", ["conforming", "mixed", "nonconforming"])
+def test_nan_neumann_data_raises(method):
+    labeler, _ = right_edge_neumann(np.eye(2))
+    mesh = build_mesh(
+        unit_square_mesh(2).vertices,
+        unit_square_mesh(2).triangles,
+        boundary_labeler=labeler,
+    )
+    A = CoefficientField.isotropic(mesh, 1.0)
+    zero = lambda x, y: np.zeros_like(np.asarray(x, float))
+    nan = lambda x, y: np.full_like(np.asarray(x, float), np.nan)
+    with pytest.raises(SolverError):
+        SOLVERS[method](mesh, A, ProblemData(f=zero, g_D=zero, g_N=nan))
+
+
+def _rt0_mass_blocks(mesh, A, sign):
+    """(nt, 3, 3) ``A^{-1}``-weighted mass blocks of the RT0 basis in the
+    point form ``sign (x - x_l) / H_l``, by the degree-5 rule (exact for
+    the quadratic integrand)."""
+    coords = mesh.tri_coords()
+    H = 2.0 * mesh.tri_area[:, None] / mesh.edge_length[mesh.tri_edges]
+    pts = np.einsum("qv,tvx->tqx", TRI_QUAD_BARY, coords)
+    phi = (sign / H)[:, :, None, None] * (pts[:, None] - coords[:, :, None])
+    M = np.einsum("tij,tlqj,tmqi,q->tlm", A.inv, phi, phi, TRI_QUAD_WEIGHTS)
+    return M * mesh.tri_area[:, None, None]
+
+
+def _rt0_p0_residuals(mesh, A, data, sol):
+    """Relative residuals of ``M sigma - B^T u = G`` (rows of the edges
+    without Neumann data) and ``B sigma = F`` for the RT0 x P0 solution,
+    with ``M`` from :func:`_rt0_mass_blocks` and ``B`` from the edge
+    lengths.  Each residual is scaled by the norm of
+    ``|M| |sigma| + |B^T| |u| + |G|`` (resp. ``|B| |sigma| + |F|``), so the
+    check also holds where ``f = 0``.
+    """
+    ne = mesh.n_edges
+    Ml = _rt0_mass_blocks(mesh, A, mesh.tri_edge_sign)
+    Bl = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]  # (nt, 3)
+    s_loc = sol.flux_edge[mesh.tri_edges]
+    Ms, aMs, Btu, aBtu = (np.zeros(ne) for _ in range(4))
+    np.add.at(Ms, mesh.tri_edges, np.einsum("tlm,tm->tl", Ml, s_loc))
+    np.add.at(aMs, mesh.tri_edges, np.einsum("tlm,tm->tl", np.abs(Ml), np.abs(s_loc)))
+    np.add.at(Btu, mesh.tri_edges, Bl * sol.u_tri[:, None])
+    np.add.at(aBtu, mesh.tri_edges, np.abs(Bl * sol.u_tri[:, None]))
+    G = np.zeros(ne)
+    d = mesh.dirichlet_edges
+    mid = mesh.edge_midpoints()[d]
+    G[d] = -data.g_D(mid[:, 0], mid[:, 1]) * mesh.edge_length[d]
+    mids = mesh.tri_edge_midpoints()
+    F = mesh.tri_area * data.f(mids[..., 0], mids[..., 1]).mean(axis=1)
+
+    rows = np.setdiff1d(np.arange(ne), mesh.neumann_edges)
+    r1 = (Ms - Btu - G)[rows]
+    scale1 = (aMs + aBtu + np.abs(G))[rows]
+    r2 = (Bl * s_loc).sum(axis=1) - F
+    scale2 = np.abs(Bl * s_loc).sum(axis=1) + np.abs(F)
+    return (
+        np.linalg.norm(r1) / np.linalg.norm(scale1),
+        np.linalg.norm(r2) / np.linalg.norm(scale2),
+    )
+
+
+def _random_tensor_mesh():
+    """Mixed Dirichlet/Neumann square, randomly refined, with a random SPD
+    tensor per element (condition up to 1e4)."""
+    from test_mesh_properties import _mixed_square
+    from test_recovery import random_spd
+
+    rng = np.random.default_rng(7)
+    mesh = _mixed_square()
+    for _ in range(4):
+        mesh = refine(mesh, rng.choice(mesh.n_triangles, 6, replace=False))
+    A = CoefficientField(np.stack([random_spd(rng, 1e4) for _ in range(mesh.n_triangles)]))
+    return mesh, A
+
+
+def test_condensed_rt0_block_is_cr_stiffness():
+    """``D (M^{-1} - m m^T / h.m) D`` with ``m = M^{-1} h``, the RT0 x P0
+    element block condensed onto the edge multipliers, equals the
+    Crouzeix-Raviart stiffness block for a constant tensor."""
+    mesh, A = _random_tensor_mesh()
+    Minv = np.linalg.inv(_rt0_mass_blocks(mesh, A, np.ones((mesh.n_triangles, 3))))
+    h = mesh.edge_length[mesh.tri_edges]
+    m = np.einsum("tij,tj->ti", Minv, h)
+    s = (h * m).sum(axis=1)
+    S = h[:, :, None] * (Minv - m[:, :, None] * m[:, None, :] / s[:, None, None]) * h[:, None, :]
+    g = mesh.grad_lambda
+    cr = 4.0 * np.einsum("tij,tlj,tmi,t->tlm", A.tensor, g, g, mesh.tri_area)
+    err = np.abs(S - cr).max(axis=(1, 2)) / np.abs(cr).max(axis=(1, 2))
+    assert err.max() < 1e-10, err.max()
+
+
+def _graded_kellogg():
+    """Kellogg mesh bisected 24 times towards the origin."""
+    mesh = initial_kellogg_mesh(4)
+    for _ in range(24):
+        at_origin = (np.abs(mesh.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
+        mesh = refine(mesh, np.flatnonzero(at_origin))
+    return mesh
+
+
+def test_mixed_solves_rt0_p0_equations():
+    """The hybridized solution satisfies the RT0 x P0 saddle-point system."""
+    from test_recovery_properties import _data
+
+    mesh, A = _random_tensor_mesh()
+    assert mesh.neumann_edges.size
+    cases = [(mesh, A, _data())]
+    kellogg = kellogg_problem()
+    mesh = _graded_kellogg()
+    assert mesh.tri_diam.min() < 1e-3
+    cases.append((mesh, kellogg.coefficient(mesh), kellogg.data))
+    for mesh, A, data in cases:
+        res1, res2 = _rt0_p0_residuals(mesh, A, data, solve_mixed(mesh, A, data))
+        assert res1 < 1e-10 and res2 < 1e-10, (res1, res2)
