@@ -27,7 +27,7 @@ and the decompositions ``rt_k = bdm_{s,k} + bdm_{e,k}`` and
 
 This module is the single home of the vertex-vector forms and of the exact
 weighted Gram integrals: the batched kernel ``_vertex_vectors`` serves the
-mixed solver and the recoveries, ``_weighted_gram`` their mass and Gram
+mixed flux and the recoveries, ``_weighted_gram`` the recoveries' Gram
 blocks, and ``_weighted_norm_sq`` the element indicators; the per-frame
 functions below are thin wrappers of them.
 

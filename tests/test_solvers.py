@@ -3,7 +3,6 @@ import pytest
 
 from afemrec.basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
 from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
-from afemrec.problems import kellogg_problem
 from afemrec.solvers import (
     CoefficientField,
     DiscreteSolution,
@@ -15,6 +14,9 @@ from afemrec.solvers import (
     solve_mixed,
     solve_nonconforming,
 )
+from test_mesh_properties import _mixed_square
+from test_recovery import random_spd
+from test_recovery_properties import _data
 
 TENSOR = np.array([[2.0, 0.5], [0.5, 1.0]])
 SOLVERS = {
@@ -350,9 +352,6 @@ def _rt0_p0_residuals(mesh, A, data, sol):
 def _random_tensor_mesh():
     """Mixed Dirichlet/Neumann square, randomly refined, with a random SPD
     tensor per element (condition up to 1e4)."""
-    from test_mesh_properties import _mixed_square
-    from test_recovery import random_spd
-
     rng = np.random.default_rng(7)
     mesh = _mixed_square()
     for _ in range(4):
@@ -386,14 +385,11 @@ def _graded_kellogg():
     return mesh
 
 
-def test_mixed_solves_rt0_p0_equations():
+def test_mixed_solves_rt0_p0_equations(kellogg):
     """The hybridized solution satisfies the RT0 x P0 saddle-point system."""
-    from test_recovery_properties import _data
-
     mesh, A = _random_tensor_mesh()
     assert mesh.neumann_edges.size
     cases = [(mesh, A, _data())]
-    kellogg = kellogg_problem()
     mesh = _graded_kellogg()
     assert mesh.tri_diam.min() < 1e-3
     cases.append((mesh, kellogg.coefficient(mesh), kellogg.data))
