@@ -26,10 +26,11 @@ and the decompositions ``rt_k = bdm_{s,k} + bdm_{e,k}`` and
 ``ne_k = nd_{s,k} - nd_{e,k}`` hold pointwise.
 
 This module is the single home of the vertex-vector forms and of the exact
-weighted Gram integrals: the batched kernel ``_vertex_vectors`` serves the
-mixed flux and the recoveries, ``_weighted_gram`` the recoveries' Gram
-blocks, and ``_weighted_norm_sq`` the element indicators; the per-frame
-functions below are thin wrappers of them.
+weighted Gram integrals: ``_side_table`` builds an edge family on both sides
+of every edge, ``_accumulate_vertex_vectors`` sums it into one field per
+element (the mixed flux and the recovered fields alike), ``_weighted_gram``
+gives the Gram blocks and ``_weighted_norm_sq`` the element indicators; the
+per-frame functions below are thin wrappers of them.
 
 All functions here are pure and safe for unrestricted concurrent use.
 """
@@ -52,7 +53,9 @@ __all__ = [
     "TRI_QUAD_WEIGHTS",
 ]
 
-VECTOR_FAMILIES = ("rt", "bdm", "ne", "nd")
+FLUX_FAMILIES = ("rt", "bdm")  # H(div)
+GRADIENT_FAMILIES = ("ne", "nd")  # H(curl)
+VECTOR_FAMILIES = FLUX_FAMILIES + GRADIENT_FAMILIES
 SCALAR_FAMILIES = ("p1", "cr")
 
 # 7-point, degree-5 triangle rule (barycentric points, weights sum to 1).
@@ -174,17 +177,16 @@ def _vertex_vectors(family, x, k, s, e, h, area, grad_lambda, sign=1.0):
     ``(k+2) % 3`` give the conventions above; swapping them gives the
     neighbour's view of a shared edge).  ``x`` (m, 3, 2) holds the vertices,
     ``grad_lambda`` (m, 3, 2) the barycentric gradients, ``h`` and ``area``
-    (m,) the edge length and triangle area; ``sign`` (scalar or (m,))
-    multiplies the field.  Returns ``C`` of shape (m, ndof, 3, 2) with the
+    (m,) the edge length and triangle area; the scalar ``sign`` multiplies
+    the field.  Returns ``C`` of shape (m, ndof, 3, 2) with the
     dof-``d`` field ``sum_v lambda_v C[:, d, v]``; ``ndof`` is 1 for rt/ne
     and 2 (endpoint s, then e) for bdm/nd.
     """
     m = len(k)
     rows = np.arange(m)
-    sign = np.broadcast_to(np.asarray(sign, dtype=float), (m,))[:, None]
     ndof = 1 if family in ("rt", "ne") else 2
     C = np.zeros((m, ndof, 3, 2))
-    if family in ("rt", "bdm"):
+    if family in FLUX_FAMILIES:
         # (x - x_k) / H_k restricted to the two edge vertices
         H = 2.0 * area / h
         cs = sign * (x[rows, s] - x[rows, k]) / H[:, None]
@@ -198,6 +200,45 @@ def _vertex_vectors(family, x, k, s, e, h, area, grad_lambda, sign=1.0):
     C[rows, 0, s] = cs
     C[rows, ndof - 1, e] = ce
     return C
+
+
+def _side_table(mesh, family):
+    """Global edge dofs of ``family`` on both sides of every edge.
+
+    Returns one ``(eids, tri, C)`` per side (``K-``, then ``K+``) for the
+    edges that have that side: ``tri`` the side elements and ``C``
+    (m, ndof, 3, 2) the vertex-vector form of the dofs there.  Flux dofs
+    measure the ``n_F`` normal trace, so they carry ``sgn = -1`` on ``K+``.
+    """
+    table = []
+    for side in (0, 1):
+        eids = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
+        tri = mesh.edge_tris[eids, side]
+        C = _vertex_vectors(
+            family,
+            mesh.vertices[mesh.triangles[tri]],
+            mesh.edge_slot[eids, side],
+            mesh.edge_loc_s[eids, side],
+            mesh.edge_loc_e[eids, side],
+            mesh.edge_length[eids],
+            mesh.tri_area[tri],
+            mesh.grad_lambda[tri],
+            sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
+        )
+        table.append((eids, tri, C))
+    return tuple(table)
+
+
+def _accumulate_vertex_vectors(table, side_coef, nt):
+    """(nt, 3, 2) vertex-vector form of ``sum_F coef_F psi_F`` over the
+    side table ``table`` of :func:`_side_table`, with ``side_coef`` the
+    (ne, 2) or (ne, 2, ndof) dof values on each side of each edge."""
+    side_coef = side_coef.reshape(len(side_coef), 2, -1)
+    out = np.zeros((nt, 3, 2))
+    for side, (eids, tri, C) in enumerate(table):
+        contrib = np.einsum("md,mdvx->mvx", side_coef[eids, side], C)
+        np.add.at(out, tri, contrib)
+    return out
 
 
 def basis_vertex_vectors(frame: LocalTriangleFrame, basis: LocalBasisId) -> np.ndarray:

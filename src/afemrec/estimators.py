@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _weighted_norm_sq
-from .mesh import INTERIOR, NEUMANN, Mesh
+from .mesh import INTERIOR, NEUMANN, Mesh, _area2
 from .recovery import RecoveredField, compute_jumps
 from .solvers import CoefficientField, DiscreteSolution, EdgeTraces
 
@@ -184,8 +184,8 @@ def residual_edge_estimator(
     )
 
 
-def _quad_points(mesh: Mesh, tris=None):
-    coords = mesh.tri_coords() if tris is None else mesh.vertices[mesh.triangles[tris]]
+def _quad_points(coords):
+    """(m, 7, 2) points of the degree-5 rule on triangles ``coords`` (m, 3, 2)."""
     return np.einsum("qv,tvx->tqx", TRI_QUAD_BARY, coords)
 
 
@@ -196,7 +196,7 @@ def oscillation(mesh: Mesh, A: CoefficientField, f):
     (P0 projection) and norm both from the 7-point degree-5 rule.
     """
     alpha = A.require_scalar()
-    pts = _quad_points(mesh)
+    pts = _quad_points(mesh.tri_coords())
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     mean = vals @ TRI_QUAD_WEIGHTS
     dev_sq = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area
@@ -228,11 +228,7 @@ def _touches_point(mesh: Mesh, p, tol=1e-12) -> np.ndarray:
     """Elements having ``p`` as a vertex or containing it."""
     coords = mesh.tri_coords()
     close = (np.linalg.norm(coords - np.asarray(p), axis=2) < tol).any(axis=1)
-    lam = np.empty((mesh.n_triangles, 3))
-    for l in range(3):
-        lam[:, l] = 1.0 + np.einsum(
-            "td,td->t", mesh.grad_lambda[:, l], np.asarray(p) - coords[:, l]
-        )
+    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda, np.asarray(p) - coords)
     inside = (lam > -1e-12).all(axis=1)
     return close | inside
 
@@ -262,19 +258,17 @@ def true_energy_error(
     singular = np.flatnonzero(singular)
     if solution.method == "mixed":
         flux = solution.flux_vertex_vectors()
+    else:
+        grad_h = solution.element_gradients()
 
     def integrate(tris, coords):
         """Quadrature over given sub-triangles belonging to elements ``tris``."""
-        areas = 0.5 * np.abs(
-            (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
-            - (coords[:, 1, 1] - coords[:, 0, 1]) * (coords[:, 2, 0] - coords[:, 0, 0])
-        )
-        pts = np.einsum("qv,tvx->tqx", TRI_QUAD_BARY, coords)
+        areas = 0.5 * np.abs(_area2(coords))
+        pts = _quad_points(coords)
         gx, gy = exact_grad(pts[..., 0], pts[..., 1])
         g = np.stack([np.asarray(gx), np.asarray(gy)], axis=-1)  # (m, q, 2)
         if solution.method in ("conforming", "nonconforming"):
-            gh = solution.element_gradients()[tris]  # (m, 2)
-            diff = g - gh[:, None, :]
+            diff = g - grad_h[tris][:, None, :]
             integ = np.einsum("mij,mqj,mqi->mq", A.tensor[tris], diff, diff)
         else:
             sig = -np.einsum("mij,mqj->mqi", A.tensor[tris], g)

@@ -53,6 +53,29 @@ def _rot90(v):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def _area2(coords):
+    """(m,) twice the signed areas of the triangles ``coords`` (m, 3, 2)."""
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _check_arrays(vertices, triangles):
+    """Shape and vertex-id checks shared by every way of making a mesh."""
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError("vertices must be an (nv, 2) array")
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
+        raise MeshError("triangles must be an (nt, 3) array")
+    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
+        raise MeshError("triangle references an unknown vertex")
+
+
+def _lookup(table, keys):
+    """``(pos, found)`` of each of ``keys`` in the sorted, nonempty ``table``."""
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return pos, table[pos] == keys
+
+
 class Mesh:
     """Oriented conforming triangulation.
 
@@ -92,13 +115,8 @@ class Mesh:
     ):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (nv, 2) array")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (nt, 3) array")
+        _check_arrays(vertices, triangles)
         nv, nt = len(vertices), len(triangles)
-        if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
-            raise MeshError("triangle references an unknown vertex")
 
         self.vertices = vertices
         self.triangles = triangles
@@ -106,9 +124,7 @@ class Mesh:
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
 
         coords = vertices[triangles]  # (nt, 3, 2)
-        d1 = coords[:, 1] - coords[:, 0]
-        d2 = coords[:, 2] - coords[:, 0]
-        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        area2 = _area2(coords)
         if np.any(area2 <= 0.0):
             bad = int(np.argmax(area2 <= 0.0))
             raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
@@ -121,12 +137,7 @@ class Mesh:
         self.grad_lambda = _rot90(evec) / area2[:, None, None]
 
         # deduplicate edges
-        pair = np.stack(
-            [triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel()], axis=1
-        )
-        keys = np.minimum(pair[:, 0], pair[:, 1]) * np.int64(nv) + np.maximum(
-            pair[:, 0], pair[:, 1]
-        )
+        keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
         ukeys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         if counts.max(initial=0) > 2:
             raise MeshError("non-manifold edge (more than two adjacent triangles)")
@@ -149,8 +160,7 @@ class Mesh:
         lkeys, lvals = label_of_key
         found = np.zeros(len(bidx), dtype=bool)
         if len(lkeys):
-            pos = np.minimum(np.searchsorted(lkeys, ukeys[bidx]), len(lkeys) - 1)
-            found = lkeys[pos] == ukeys[bidx]
+            pos, found = _lookup(lkeys, ukeys[bidx])
             found &= np.isin(lvals[pos], (DIRICHLET, NEUMANN))
             label[bidx] = lvals[pos]
         if not found.all():
@@ -168,8 +178,7 @@ class Mesh:
         e_ids = triangles[tri0, (slot0 + 2) % 3]
         if orient_table is not None and len(orient_table[0]):
             okeys, os_, oe_ = orient_table
-            pos = np.minimum(np.searchsorted(okeys, ukeys), len(okeys) - 1)
-            found = okeys[pos] == ukeys
+            pos, found = _lookup(okeys, ukeys)
             s_ids[found] = os_[pos[found]]
             e_ids[found] = oe_[pos[found]]
         # K- is the triangle around which s -> e runs counterclockwise
@@ -353,17 +362,9 @@ def _prepare(vertices, triangles):
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.array(triangles, dtype=np.int64)
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshError("vertices must be an (nv, 2) array")
-    if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise MeshError("triangles must be an (nt, 3) array")
-    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
-        raise MeshError("triangle references an unknown vertex")
+    _check_arrays(vertices, triangles)
 
-    coords = vertices[triangles]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    area2 = _area2(vertices[triangles])
     if np.any(area2 == 0.0):
         raise MeshError(f"triangle {int(np.argmax(area2 == 0.0))} has zero area")
     flip = area2 < 0.0
@@ -475,11 +476,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
         i2 = (ref + 2) % 3
         b = verts[rows, i1]
         c = verts[rows, i2]
-        keys = _encode(b, c, nv_new)
-        pos = np.minimum(
-            np.searchsorted(cut_keys_sorted, keys), len(cut_keys_sorted) - 1
-        )
-        split = cut_keys_sorted[pos] == keys
+        pos, split = _lookup(cut_keys_sorted, _encode(b, c, nv_new))
         if not split.any():
             break
         m = mid_sorted[pos]

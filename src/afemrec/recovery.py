@@ -34,11 +34,11 @@ edge ``F`` with global endpoints ``s, e`` and opposite vertex ``o``::
     psi_nd_s = h * lambda_s grad lambda_e
     psi_nd_e = h * lambda_e grad lambda_s
 
-These are the edge bases of :mod:`afemrec.basis` seen from each side, and
-their Gram blocks come from its exact weighted Gram kernel.  One trace
-table (``_side_traces``) feeds both the recovery and :func:`compute_jumps`,
-the single definition of the edge jumps that the oracle check and the
-residual estimators read.
+These are the edge bases of :mod:`afemrec.basis` seen from each side, built
+once per recovery as its side table, which gives the Gram blocks and then
+the correction and recovered fields.  One trace table (``_side_traces``)
+feeds both the recovery and :func:`compute_jumps`, the single definition of
+the edge jumps that the oracle check and the residual estimators read.
 
 Every recovery is cross-checked (on a deterministic sample of edges, or all
 of them with ``validate="all"``) against :func:`local_oracle`, an
@@ -61,7 +61,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _vertex_vectors, _weighted_gram
+from .basis import (
+    FLUX_FAMILIES,
+    GRADIENT_FAMILIES,
+    _accumulate_vertex_vectors,
+    _side_table,
+    _weighted_gram,
+)
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
 from .solvers import CoefficientField, EdgeTraces
 
@@ -77,8 +83,6 @@ __all__ = [
     "VALID_PAIRS",
 ]
 
-FLUX_FAMILIES = ("rt", "bdm")
-GRADIENT_FAMILIES = ("ne", "nd")
 VALID_PAIRS = {
     ("conforming", "rt"),
     ("conforming", "bdm"),
@@ -167,30 +171,7 @@ def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: s
 
 
 # ----------------------------------------------------------------------
-# per-side basis data
-
-
-def _side_vectors(mesh: Mesh, family: str, side: int):
-    """Edge dofs restricted to the element on one side of each edge.
-
-    Returns ``(eids, tri, C)`` for the edges that have that side: ``tri``
-    the side elements and ``C`` (m, ndof, 3, 2) the vertex-vector form of
-    the dofs there (flux dofs carry ``sgn = -1`` on ``K+``).
-    """
-    eids = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
-    tri = mesh.edge_tris[eids, side]
-    C = _vertex_vectors(
-        family,
-        mesh.vertices[mesh.triangles[tri]],
-        mesh.edge_slot[eids, side],
-        mesh.edge_loc_s[eids, side],
-        mesh.edge_loc_e[eids, side],
-        mesh.edge_length[eids],
-        mesh.tri_area[tri],
-        mesh.grad_lambda[tri],
-        sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
-    )
-    return eids, tri, C
+# patch weights
 
 
 def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -217,13 +198,14 @@ class PatchWeights:
     * ``a_nc, b_nc``: the row sums of ``nd_response``, the constant-jump
       weights of the nonconforming gradient recovery.
 
-    Entries are NaN for non-interior edges.
+    Entries are NaN for non-interior edges.  ``gram`` comes from ``side_table``.
     """
 
     family: str
     gram: np.ndarray
     has_plus: np.ndarray
     response: np.ndarray
+    side_table: tuple = field(repr=False)
 
     a_rt = a_ne = property(lambda self: self.response[:, 0, 0])
     a_bdm = property(lambda self: self.response[:, 0].sum(axis=1))
@@ -240,8 +222,8 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
     ndof = len(_DOF_SIGN[family])
     ne = mesh.n_edges
     gram = np.zeros((ne, 2, ndof, ndof))
-    for side in (0, 1):
-        eids, tri, C = _side_vectors(mesh, family, side)
+    table = _side_table(mesh, family)
+    for side, (eids, tri, C) in enumerate(table):
         W = A.inv[tri] if family in FLUX_FAMILIES else A.tensor[tri]
         gram[eids, side] = _weighted_gram(W, C, mesh.tri_area[tri])
     has_plus = mesh.edge_tris[:, 1] >= 0
@@ -263,7 +245,9 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
         raise RecoveryError("singular patch Gram system")
     response = np.full((ne, ndof, ndof), np.nan)
     response[i] = (adj[:, :, :, None] * Gm[:, None]).sum(axis=2) / det[:, None, None]
-    return PatchWeights(family=family, gram=gram, has_plus=has_plus, response=response)
+    return PatchWeights(
+        family=family, gram=gram, has_plus=has_plus, response=response, side_table=table
+    )
 
 
 # ----------------------------------------------------------------------
@@ -291,25 +275,19 @@ class RecoveredField:
     correction_side: np.ndarray
     weights: PatchWeights = field(repr=False, default=None)
 
-    def _accumulate_vertex_vectors(self, side_coef) -> np.ndarray:
+    def _accumulate(self, side_coef) -> np.ndarray:
         """(nt, 3, 2) vertex-coefficient form of ``sum_F coef_F psi_F``."""
-        mesh = self.mesh
-        side_coef = side_coef.reshape(mesh.n_edges, 2, -1)
-        out = np.zeros((mesh.n_triangles, 3, 2))
-        for side in (0, 1):
-            eids, tri, C = _side_vectors(mesh, self.family, side)
-            contrib = np.einsum("md,mdvx->mvx", side_coef[eids, side], C)
-            np.add.at(out, tri, contrib)
-        return out
+        table = self.weights.side_table
+        return _accumulate_vertex_vectors(table, side_coef, self.mesh.n_triangles)
 
     def correction_vertex_vectors(self) -> np.ndarray:
         """Vertex-vector form of the global correction field."""
-        return self._accumulate_vertex_vectors(self.correction_side)
+        return self._accumulate(self.correction_side)
 
     def total_vertex_vectors(self) -> np.ndarray:
         """Vertex-vector form of the full recovered field."""
         coef = self.coef.reshape(self.mesh.n_edges, 1, -1)
-        return self._accumulate_vertex_vectors(np.repeat(coef, 2, axis=1))
+        return self._accumulate(np.repeat(coef, 2, axis=1))
 
     def eval_vertex_field(self, C, tris, points) -> np.ndarray:
         """Evaluate a vertex-vector field on triangles ``tris`` at physical

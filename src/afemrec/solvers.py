@@ -8,6 +8,8 @@ All three take one path: element blocks, one assembly, Dirichlet values
 fixed and one checked direct solve of an SPD system.  The mixed method
 condenses each element onto one multiplier per edge, solved like the
 Crouzeix-Raviart edge values, and recovers flux and value elementwise.
+Its flux's vertex-vector form is built once per solution, by the side
+table and accumulator of :mod:`afemrec.basis` that the recoveries use.
 
 All data callables (``f``, ``g_D``, ``g_N``, exact solution and gradient)
 take coordinate arrays ``(x, y)`` and must broadcast.  Dirichlet data is
@@ -22,13 +24,13 @@ post-solve queries are safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import _vertex_vectors
+from .basis import _accumulate_vertex_vectors, _side_table
 from .mesh import Mesh
 
 __all__ = [
@@ -79,8 +81,7 @@ class CoefficientField:
         """Scalar coefficient: constant, per-element array, or callable of
         the barycenter coordinates."""
         if callable(alpha):
-            b = mesh.tri_barycenters()
-            vals = np.asarray(alpha(b[:, 0], b[:, 1]), dtype=float)
+            vals = _eval(alpha, mesh.tri_barycenters())
         else:
             vals = np.broadcast_to(
                 np.asarray(alpha, dtype=float), (mesh.n_triangles,)
@@ -95,8 +96,7 @@ class CoefficientField:
         """Full tensor coefficient: one 2x2 for all, per-element (nt, 2, 2),
         or callable of the barycenter coordinates returning (nt, 2, 2)."""
         if callable(A):
-            b = mesh.tri_barycenters()
-            tensor = np.asarray(A(b[:, 0], b[:, 1]), dtype=float)
+            tensor = _eval(A, mesh.tri_barycenters())
         else:
             A = np.asarray(A, dtype=float)
             if A.shape == (2, 2):
@@ -147,6 +147,14 @@ class DiscreteSolution:
     u_edge: np.ndarray | None = None
     flux_edge: np.ndarray | None = None
     u_tri: np.ndarray | None = None
+    flux_vertex: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # the mixed flux is the RT field with flux_edge on both sides
+        if self.method == "mixed":
+            coef = np.repeat(self.flux_edge[:, None], 2, axis=1)
+            table = _side_table(self.mesh, "rt")
+            self.flux_vertex = _accumulate_vertex_vectors(table, coef, self.mesh.n_triangles)
 
     def element_gradients(self) -> np.ndarray:
         """(nt, 2) broken gradient for the P1 / CR fields."""
@@ -164,9 +172,7 @@ class DiscreteSolution:
         is ``sum_v lambda_v C[:, v]``."""
         if self.method != "mixed":
             raise ValueError("flux_vertex_vectors needs a mixed solution")
-        mesh = self.mesh
-        out = self.flux_edge[mesh.tri_edges] * mesh.tri_edge_sign
-        return np.einsum("tl,tlvd->tvd", out, _rt_outward(mesh))
+        return self.flux_vertex
 
 
 @dataclass
@@ -353,25 +359,6 @@ def mixed_divergence(mesh: Mesh, coef: np.ndarray) -> np.ndarray:
     """(nt,) elementwise divergence of an RT0 field."""
     h = mesh.edge_length[mesh.tri_edges]
     return (coef[mesh.tri_edges] * mesh.tri_edge_sign * h).sum(axis=1) / mesh.tri_area
-
-
-def _rt_outward(mesh: Mesh) -> np.ndarray:
-    """(nt, 3, 3, 2) vertex-vector form of every element's RT0 basis:
-    ``[t, l]`` is the field of local edge ``l`` with unit normal trace along
-    the outward normal of triangle ``t``."""
-    nt = mesh.n_triangles
-    opp = np.tile(np.arange(3), nt)
-    tri = np.repeat(np.arange(nt), 3)
-    return _vertex_vectors(
-        "rt",
-        mesh.vertices[mesh.triangles[tri]],
-        opp,
-        (opp + 1) % 3,
-        (opp + 2) % 3,
-        mesh.edge_length[mesh.tri_edges].ravel(),
-        mesh.tri_area[tri],
-        None,
-    ).reshape(nt, 3, 3, 2)
 
 
 def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:

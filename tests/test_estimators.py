@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from afemrec.estimators import (
+    _touches_point,
     indicators,
     oscillation,
     residual_edge_estimator,
@@ -287,6 +288,25 @@ def test_true_energy_error_affine_zero():
         solve_mixed(mesh, A, data),
     ):
         assert true_energy_error(mesh, A, sol, grad) < 1e-10
+
+
+def test_touches_point_matches_per_vertex_loop():
+    # the vectorized barycentric test against the per-vertex loop it
+    # replaced, on a mesh graded towards the origin
+    mesh = initial_kellogg_mesh(4)
+    for _ in range(20):
+        at_origin = (np.abs(mesh.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
+        mesh = refine(mesh, np.flatnonzero(at_origin))
+    coords = mesh.tri_coords()
+    for p in ((0.0, 0.0), (0.3, -0.7), tuple(coords[5].mean(axis=0))):
+        lam = np.empty((mesh.n_triangles, 3))
+        for l in range(3):
+            d = np.asarray(p) - coords[:, l]
+            lam[:, l] = 1.0 + np.einsum("td,td->t", mesh.grad_lambda[:, l], d)
+        close = (np.linalg.norm(coords - np.asarray(p), axis=2) < 1e-12).any(axis=1)
+        expected = close | (lam > -1e-12).all(axis=1)
+        assert expected.any()
+        assert np.array_equal(_touches_point(mesh, p), expected)
 
 
 def test_true_energy_error_requires_gradient():

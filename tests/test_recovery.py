@@ -3,8 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
-from afemrec import recovery
+from afemrec import basis, recovery, solvers
 from afemrec.driver import AfemConfig, run_afem
+from afemrec.estimators import indicators, true_energy_error
 from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
 from afemrec.problems import kellogg_problem
 from afemrec.recovery import (
@@ -520,8 +521,11 @@ PERTURBED_PAIRS = [
     + [pytest.param(m, f, True, id=f"{m}-{f}-graded") for m, f in PERTURBED_PAIRS],
 )
 def test_oracle_catches_perturbed_weight(request, monkeypatch, method, family, graded):
-    # the oracle is independent of the closed-form weights ...
-    assert not _oracle_names() & {"patch_weights", "PatchWeights", "response"}
+    # the oracle is independent of the closed-form weights and of the basis
+    # kernels they are built from ...
+    forbidden = {"patch_weights", "PatchWeights", "response"}
+    forbidden |= {"_side_table", "_vertex_vectors", "_weighted_gram"}
+    assert not _oracle_names() & forbidden
     mesh, A, data = request.getfixturevalue("graded_problem") if graded else _interface_problem()
     sol, tr = _solve(mesh, A, data, method)
     fld = recover(mesh, A, tr, method, family, validate="all")
@@ -585,3 +589,33 @@ def test_oracle_check_coverage(monkeypatch, method, family):
     assert len(calls) == 2
     assert np.array_equal(calls[0], np.arange(0, ne, max(1, ne // 64)))
     assert np.array_equal(calls[1], np.arange(ne))
+
+
+def test_side_table_built_once(monkeypatch):
+    # one recovery builds its side table once and forms its fields from it;
+    # a mixed solution builds its RT table once, which the traces and the
+    # true error both read
+    built = []
+    build = basis._side_table
+
+    def recording(mesh_, family_):
+        built.append(family_)
+        return build(mesh_, family_)
+
+    monkeypatch.setattr(recovery, "_side_table", recording)
+    monkeypatch.setattr(solvers, "_side_table", recording)
+    mesh, A, data = _interface_problem()
+    for method, family in ALL_PAIRS:
+        sol, tr = _solve(mesh, A, data, method)
+        built.clear()
+        fld = recover(mesh, A, tr, method, family, validate="all")
+        indicators(mesh, A, fld, method)
+        fld.total_vertex_vectors()
+        assert built == [family], (method, family)
+
+    built.clear()
+    sol = solve_mixed(mesh, A, data)
+    edge_traces(mesh, A, sol, data)
+    grad = lambda x, y: (np.cos(x) * np.asarray(y), np.sin(x) + np.asarray(y))
+    true_energy_error(mesh, A, sol, grad, singular_points=((0.0, 0.0),))
+    assert built == ["rt"]

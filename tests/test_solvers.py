@@ -396,3 +396,19 @@ def test_mixed_solves_rt0_p0_equations(kellogg):
     for mesh, A, data in cases:
         res1, res2 = _rt0_p0_residuals(mesh, A, data, solve_mixed(mesh, A, data))
         assert res1 < 1e-10 and res2 < 1e-10, (res1, res2)
+
+
+def test_mixed_flux_vertex_vectors_carry_edge_fluxes():
+    """The stored vertex-vector form of the mixed flux has the normal trace
+    ``flux_edge`` on every edge, from both sides and at both endpoints."""
+    mesh, A = _random_tensor_mesh()
+    sol = solve_mixed(mesh, A, _data())
+    C = sol.flux_vertex_vectors()
+    assert C is sol.flux_vertex_vectors()
+    scale = np.abs(sol.flux_edge).max()
+    for side in (0, 1):
+        F = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
+        t = mesh.edge_tris[F, side]
+        for loc in (mesh.edge_loc_s, mesh.edge_loc_e):
+            trace = (C[t, loc[F, side]] * mesh.edge_normal[F]).sum(axis=1)
+            assert np.abs(trace - sol.flux_edge[F]).max() <= 1e-12 * scale
