@@ -6,8 +6,11 @@ Example::
             --theta 0.5 --max-dof 100000 --out ./out
 
 writes ``history.csv``, ``mesh_final.svg`` and ``mesh_final.txt`` into the
-output directory and prints one summary line per iteration block.  Exit
-codes: 0 success, 2 usage error, 3 numerical failure.
+output directory.  Unless ``--quiet`` is given it then prints one final
+summary line (iterations, dofs, estimator, and the true error and
+effectivity when the problem has an exact solution), the trailing slope of
+log(error) against log(dofs) when it is defined, and the output directory.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations

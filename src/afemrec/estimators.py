@@ -14,8 +14,11 @@ only) used as empirical efficiency references, the data-oscillation term,
 and the true energy error against a known exact gradient.
 
 All integrals of the piecewise-linear correction fields are exact; the true
-energy error uses a degree-5 quadrature with recursive subdivision of
-elements touching singular points.
+energy error uses a degree-5 quadrature with four levels of dyadic
+subdivision on the elements that have a singular point as a vertex or
+contain it.  That selection uses exact vertex equality and a barycentric
+containment test, with no distance tolerance, so it is scale-invariant;
+neighbouring elements keep the plain 7-point rule.
 """
 
 from __future__ import annotations
@@ -224,13 +227,21 @@ def _subdivide(coords: np.ndarray, levels: int) -> np.ndarray:
     return out
 
 
-def _touches_point(mesh: Mesh, p, tol=1e-12) -> np.ndarray:
-    """Elements having ``p`` as a vertex or containing it."""
+def _touches_point(mesh: Mesh, p) -> np.ndarray:
+    """Elements having ``p`` as a vertex or containing it in their closed
+    triangle.
+
+    The vertex test is exact coordinate equality and the containment test
+    is barycentric, so both are dimensionless: the selection does not
+    change when the mesh and ``p`` are scaled together, however fine the
+    mesh is graded.
+    """
+    p = np.asarray(p, dtype=float)
     coords = mesh.tri_coords()
-    close = (np.linalg.norm(coords - np.asarray(p), axis=2) < tol).any(axis=1)
-    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda, np.asarray(p) - coords)
+    vertex = (coords == p).all(axis=2).any(axis=1)
+    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda, p - coords)
     inside = (lam > -1e-12).all(axis=1)
-    return close | inside
+    return vertex | inside
 
 
 def true_energy_error(
@@ -245,8 +256,13 @@ def true_energy_error(
     ``||A^{1/2}(grad u - grad_h u_h)||`` for the conforming and
     nonconforming methods, ``||A^{-1/2}(sigma - sigma_m)||`` with
     ``sigma = -A grad u`` for the mixed method.  Uses the 7-point degree-5
-    rule; elements touching a singular point are subdivided dyadically four
-    levels first.
+    rule.  An element is singular when a singular point is one of its
+    vertices (exact coordinate equality) or lies in its closed triangle (a
+    barycentric test); there is no distance tolerance, so the selection is
+    the same at every mesh scale.  Singular elements are subdivided
+    dyadically four levels first.  Their neighbours keep the plain 7-point
+    rule, which on graded Kellogg meshes leaves a relative quadrature error
+    of up to about 5e-5 against a six-level reference.
     """
     if exact_grad is None:
         raise ValueError("true_energy_error requires the exact gradient")

@@ -3,7 +3,8 @@
 Each test enforces one acceptance criterion at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 The two full-budget adaptive benchmark runs are shared module fixtures; they
-take a couple of minutes together.
+take about a minute and a half together (R = 161: 71 s, R = 1e4: 14 s on a
+2-vCPU machine).
 """
 
 import numpy as np

@@ -290,23 +290,56 @@ def test_true_energy_error_affine_zero():
         assert true_energy_error(mesh, A, sol, grad) < 1e-10
 
 
+def _scaled(mesh, s):
+    """The same triangles and regions with every vertex multiplied by ``s``."""
+    return build_mesh(s * mesh.vertices, mesh.triangles, regions=mesh.tri_region)
+
+
 def test_touches_point_matches_per_vertex_loop():
-    # the vectorized barycentric test against the per-vertex loop it
-    # replaced, on a mesh graded towards the origin
-    mesh = initial_kellogg_mesh(4)
+    # the vectorized vertex/barycentric test against a per-vertex loop, on a
+    # mesh graded towards the origin and on its copy scaled by 2^-50
+    graded = initial_kellogg_mesh(4)
     for _ in range(20):
-        at_origin = (np.abs(mesh.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
-        mesh = refine(mesh, np.flatnonzero(at_origin))
-    coords = mesh.tri_coords()
-    for p in ((0.0, 0.0), (0.3, -0.7), tuple(coords[5].mean(axis=0))):
-        lam = np.empty((mesh.n_triangles, 3))
-        for l in range(3):
-            d = np.asarray(p) - coords[:, l]
-            lam[:, l] = 1.0 + np.einsum("td,td->t", mesh.grad_lambda[:, l], d)
-        close = (np.linalg.norm(coords - np.asarray(p), axis=2) < 1e-12).any(axis=1)
-        expected = close | (lam > -1e-12).all(axis=1)
-        assert expected.any()
-        assert np.array_equal(_touches_point(mesh, p), expected)
+        at_origin = (np.abs(graded.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
+        graded = refine(graded, np.flatnonzero(at_origin))
+    for s in (1.0, 2.0**-50):
+        mesh = _scaled(graded, s)
+        coords = mesh.tri_coords()
+        for p in ((0.0, 0.0), (0.3 * s, -0.7 * s), tuple(coords[5].mean(axis=0))):
+            lam = np.empty((mesh.n_triangles, 3))
+            vertex = np.zeros(mesh.n_triangles, dtype=bool)
+            for l in range(3):
+                d = np.asarray(p) - coords[:, l]
+                lam[:, l] = 1.0 + np.einsum("td,td->t", mesh.grad_lambda[:, l], d)
+                vertex |= (coords[:, l, 0] == p[0]) & (coords[:, l, 1] == p[1])
+            expected = vertex | (lam > -1e-12).all(axis=1)
+            assert expected.any()
+            assert np.array_equal(_touches_point(mesh, p), expected)
+
+
+@pytest.mark.parametrize(
+    "solver", [solve_conforming, solve_nonconforming, solve_mixed], ids=lambda f: f.__name__
+)
+def test_true_energy_error_is_scale_invariant(kellogg, solver):
+    # u = r^gamma mu(theta), so scaling the mesh by s scales the energy
+    # error by s^gamma; a power of two scales the coordinates exactly, and
+    # the singular selection must not depend on the scale either
+    mesh = initial_kellogg_mesh(8)
+    s = 2.0**-50
+    small = _scaled(mesh, s)
+    (p,) = kellogg.data.singular_points
+    flagged = _touches_point(mesh, p)
+    assert np.count_nonzero(flagged) == 6
+    assert np.array_equal(_touches_point(small, p), flagged)
+    errs = []
+    for m in (mesh, small):
+        A = kellogg.coefficient(m)
+        sol = solver(m, A, kellogg.data)
+        errs.append(
+            true_energy_error(m, A, sol, kellogg.data.exact_grad, kellogg.data.singular_points)
+        )
+    scaled_back = errs[1] / s ** kellogg.params["gamma"]
+    assert scaled_back == pytest.approx(errs[0], rel=1e-12)
 
 
 def test_true_energy_error_requires_gradient():
