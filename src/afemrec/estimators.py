@@ -19,6 +19,14 @@ subdivision on the elements that have a singular point as a vertex or
 contain it.  That selection uses exact vertex equality and a barycentric
 containment test, with no distance tolerance, so it is scale-invariant;
 neighbouring elements keep the plain 7-point rule.
+
+Both the true error and the oscillation integrate through constant
+barycentric tables: the 7-point rule (7, 3) on regular elements, and on
+singular elements that rule mapped onto the 256 sub-triangles of the
+reference triangle's 4-level subdivision (1792, 3), with weights summing
+to 1.  The quadrature points are one matmul of a table with the element
+vertices, and the mixed flux is evaluated from the same table, so no point
+is located in its element.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _weighted_norm_sq
-from .mesh import INTERIOR, NEUMANN, Mesh, _area2
+from .mesh import INTERIOR, NEUMANN, Mesh
 from .recovery import RecoveredField, compute_jumps
 from .solvers import CoefficientField, DiscreteSolution, EdgeTraces
 
@@ -187,9 +195,36 @@ def residual_edge_estimator(
     )
 
 
-def _quad_points(coords):
-    """(m, 7, 2) points of the degree-5 rule on triangles ``coords`` (m, 3, 2)."""
-    return np.einsum("qv,tvx->tqx", TRI_QUAD_BARY, coords)
+def _dyadic_bary(levels: int) -> np.ndarray:
+    """(4**levels, 3, 3) barycentric vertices of the recursive 4-way
+    (edge-midpoint) subdivision of the reference triangle."""
+    sub = np.eye(3)[None]
+    for _ in range(levels):
+        a, b, c = sub[:, 0], sub[:, 1], sub[:, 2]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        sub = np.concatenate(
+            [
+                np.stack([a, ab, ca], axis=1),
+                np.stack([ab, b, bc], axis=1),
+                np.stack([ca, bc, c], axis=1),
+                np.stack([ab, bc, ca], axis=1),
+            ]
+        )
+    return sub
+
+
+# the 7-point rule on each of the 256 sub-triangles of four dyadic levels,
+# as one (1792, 3) barycentric table with weights summing to 1
+_SINGULAR_LEVELS = 4
+_SINGULAR_BARY = (TRI_QUAD_BARY @ _dyadic_bary(_SINGULAR_LEVELS)).reshape(-1, 3)
+_SINGULAR_WEIGHTS = np.tile(TRI_QUAD_WEIGHTS, 4**_SINGULAR_LEVELS) / 4**_SINGULAR_LEVELS
+
+
+def _bary_points(mesh: Mesh, tris, bary: np.ndarray):
+    """Physical coordinates ``x, y``, each (m, q), of the barycentric points
+    ``bary`` (q, 3) on the elements ``tris``."""
+    tv = mesh.triangles[tris]
+    return mesh.vertices[tv, 0] @ bary.T, mesh.vertices[tv, 1] @ bary.T
 
 
 def oscillation(mesh: Mesh, A: CoefficientField, f):
@@ -199,32 +234,12 @@ def oscillation(mesh: Mesh, A: CoefficientField, f):
     (P0 projection) and norm both from the 7-point degree-5 rule.
     """
     alpha = A.require_scalar()
-    pts = _quad_points(mesh.tri_coords())
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    x, y = _bary_points(mesh, slice(None), TRI_QUAD_BARY)
+    vals = np.asarray(f(x, y), dtype=float)
     mean = vals @ TRI_QUAD_WEIGHTS
     dev_sq = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area
     h_fk = mesh.tri_diam / np.sqrt(alpha) * np.sqrt(np.maximum(dev_sq, 0.0))
     return float(np.sqrt((h_fk**2).sum())), h_fk
-
-
-def _subdivide(coords: np.ndarray, levels: int) -> np.ndarray:
-    """Recursive 4-way (edge-midpoint) subdivision of triangles.
-
-    ``coords`` (m, 3, 2) -> (m * 4**levels, 3, 2).
-    """
-    out = coords
-    for _ in range(levels):
-        a, b, c = out[:, 0], out[:, 1], out[:, 2]
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        out = np.concatenate(
-            [
-                np.stack([a, ab, ca], axis=1),
-                np.stack([ab, b, bc], axis=1),
-                np.stack([ca, bc, c], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ]
-        )
-    return out
 
 
 def _touches_point(mesh: Mesh, p) -> np.ndarray:
@@ -260,9 +275,12 @@ def true_energy_error(
     vertices (exact coordinate equality) or lies in its closed triangle (a
     barycentric test); there is no distance tolerance, so the selection is
     the same at every mesh scale.  Singular elements are subdivided
-    dyadically four levels first.  Their neighbours keep the plain 7-point
-    rule, which on graded Kellogg meshes leaves a relative quadrature error
-    of up to about 5e-5 against a six-level reference.
+    dyadically four levels first: one (1792, 3) barycentric table holds the
+    7-point rule on each of the 256 sub-triangles of the reference
+    triangle, with weights ``tile(TRI_QUAD_WEIGHTS, 256) / 256``.  Their
+    neighbours keep the plain 7-point rule, which on graded Kellogg meshes
+    leaves a relative quadrature error of up to about 5e-5 against a
+    six-level reference.
     """
     if exact_grad is None:
         raise ValueError("true_energy_error requires the exact gradient")
@@ -273,33 +291,49 @@ def true_energy_error(
     regular = np.flatnonzero(~singular)
     singular = np.flatnonzero(singular)
     if solution.method == "mixed":
-        flux = solution.flux_vertex_vectors()
+        field = solution.flux_vertex_vectors()
     else:
-        grad_h = solution.element_gradients()
-
-    def integrate(tris, coords):
-        """Quadrature over given sub-triangles belonging to elements ``tris``."""
-        areas = 0.5 * np.abs(_area2(coords))
-        pts = _quad_points(coords)
-        gx, gy = exact_grad(pts[..., 0], pts[..., 1])
-        g = np.stack([np.asarray(gx), np.asarray(gy)], axis=-1)  # (m, q, 2)
-        if solution.method in ("conforming", "nonconforming"):
-            diff = g - grad_h[tris][:, None, :]
-            integ = np.einsum("mij,mqj,mqi->mq", A.tensor[tris], diff, diff)
-        else:
-            sig = -np.einsum("mij,mqj->mqi", A.tensor[tris], g)
-            sig_m = mesh.eval_vertex_field(
-                flux, np.repeat(tris, pts.shape[1]), pts.reshape(-1, 2)
-            ).reshape(pts.shape)
-            diff = sig - sig_m
-            integ = np.einsum("mij,mqj,mqi->mq", A.inv[tris], diff, diff)
-        return float((integ @ TRI_QUAD_WEIGHTS * areas).sum())
+        field = solution.element_gradients()
 
     total = 0.0
     if regular.size:
-        total += integrate(regular, mesh.vertices[mesh.triangles[regular]])
+        total += _energy_error_sq(
+            mesh, A, field, exact_grad, regular, TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
+        )
     if singular.size:
-        coords = _subdivide(mesh.vertices[mesh.triangles[singular]], 4)
-        reps = np.tile(singular, 4**4)
-        total += integrate(reps, coords)
+        total += _energy_error_sq(
+            mesh, A, field, exact_grad, singular, _SINGULAR_BARY, _SINGULAR_WEIGHTS
+        )
     return float(np.sqrt(max(total, 0.0)))
+
+
+def _energy_error_sq(mesh, A, field, exact_grad, tris, bary, weights) -> float:
+    """Squared energy error over the elements ``tris`` from the barycentric
+    rule ``bary`` (q, 3) with weights ``weights`` (q,) summing to 1.
+
+    ``field`` is the discrete gradient (nt, 2), constant per element, or the
+    mixed flux in vertex-vector form (nt, 3, 2), which the same table
+    evaluates at the points.
+    """
+    x, y = _bary_points(mesh, tris, bary)
+    gx, gy = exact_grad(x, y)
+    gx, gy = np.asarray(gx), np.asarray(gy)  # (m, q)
+    a = A.tensor[tris]
+    if field.ndim == 2:
+        grad_h = field[tris]
+        dx = gx - grad_h[:, 0, None]
+        dy = gy - grad_h[:, 1, None]
+        w = a
+    else:
+        flux = field[tris]
+        sx = -(a[:, 0, 0, None] * gx + a[:, 0, 1, None] * gy)
+        sy = -(a[:, 1, 0, None] * gx + a[:, 1, 1, None] * gy)
+        dx = sx - flux[:, :, 0] @ bary.T
+        dy = sy - flux[:, :, 1] @ bary.T
+        w = A.inv[tris]
+    integ = (
+        w[:, 0, 0, None] * dx**2
+        + (w[:, 0, 1] + w[:, 1, 0])[:, None] * dx * dy
+        + w[:, 1, 1, None] * dy**2
+    )
+    return float((integ @ weights * mesh.tri_area[tris]).sum())

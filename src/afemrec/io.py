@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .driver import ConvergenceHistory
-from .mesh import Mesh
+from .mesh import Mesh, _write_rows
 
 __all__ = ["write_history_csv", "read_history_csv", "write_mesh_svg"]
 
@@ -97,42 +97,33 @@ def write_mesh_svg(mesh: Mesh, path, indicators=None, size: int = 800) -> None:
     width = span[0] + 2 * margin
     height = span[1] + 2 * margin
 
-    fills = None
+    fills = ["none"] * mesh.n_triangles
     if indicators is not None:
         vals = np.asarray(indicators, dtype=float)
         if vals.shape != (mesh.n_triangles,):
             raise ValueError("need one indicator value per element")
-        if np.all(vals <= 0):
-            fills = None
-        else:
+        if not np.all(vals <= 0):
             qs = np.quantile(vals, np.linspace(0.0, 1.0, len(_RAMP) + 1)[1:-1])
             bins = np.searchsorted(qs, vals, side="right")
-            fills = [_RAMP[b] for b in bins]
+            fills = [_RAMP[b] for b in bins.tolist()]
 
     scale = size / max(width, height)
-
-    def fx(x):
-        return (x - lo[0] + margin) * scale
-
-    def fy(y):
-        # SVG y axis points down
-        return (hi[1] + margin - y) * scale
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * scale:.2f}" '
-        f'height="{height * scale:.2f}" '
-        f'viewBox="0 0 {width * scale:.2f} {height * scale:.2f}">',
-    ]
     coords = mesh.tri_coords()
+    pts = np.empty((mesh.n_triangles, 3, 2))
+    pts[..., 0] = (coords[..., 0] - lo[0] + margin) * scale
+    # SVG y axis points down
+    pts[..., 1] = (hi[1] + margin - coords[..., 1]) * scale
     stroke = max(0.2, 0.002 * size * min(mesh.tri_diam.min() / span.max(), 1.0))
-    for t in range(mesh.n_triangles):
-        pts = " ".join(f"{fx(x):.3f},{fy(y):.3f}" for x, y in coords[t])
-        fill = fills[t] if fills is not None else "none"
-        lines.append(
-            f'<polygon points="{pts}" fill="{fill}" '
-            f'stroke="black" stroke-width="{stroke:.3f}"/>'
-        )
-    lines.append("</svg>")
+    polygon = (
+        '<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="%s" '
+        f'stroke="black" stroke-width="{stroke:.3f}"/>\n'
+    )
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * scale:.2f}" '
+            f'height="{height * scale:.2f}" '
+            f'viewBox="0 0 {width * scale:.2f} {height * scale:.2f}">\n'
+        )
+        _write_rows(fh, polygon, pts.reshape(-1, 6), fills)
+        fh.write("</svg>\n")

@@ -563,17 +563,31 @@ def write_mesh_text(mesh: Mesh, path) -> None:
     ``v0 v1 v2 region_id`` and ``E`` lines ``va vb label`` with label D or N.
     """
     bnd = np.flatnonzero(mesh.edge_label != INTERIOR)
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {len(bnd)}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for t in range(mesh.n_triangles):
-        v = mesh.triangles[t]
-        lines.append(f"{v[0]} {v[1]} {v[2]} {mesh.tri_region[t]}")
-    for e in bnd:
-        s, t = mesh.edges[e]
-        lines.append(f"{s} {t} {_LABEL_CHAR[int(mesh.edge_label[e])]}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(bnd)}\n")
+        _write_rows(fh, "%.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "%d %d %d %d\n", np.column_stack([mesh.triangles, mesh.tri_region]))
+        labels = [_LABEL_CHAR[lab] for lab in mesh.edge_label[bnd].tolist()]
+        _write_rows(fh, "%d %d %s\n", mesh.edges[bnd], labels)
+
+
+_ROW_CHUNK = 4096
+
+
+def _write_rows(fh, template: str, rows: np.ndarray, tags=None) -> None:
+    """Write ``template % (*row, tag)`` for each row of ``rows`` (n, k), with
+    ``tags`` an optional list of n trailing strings.
+
+    Rows are converted and formatted a chunk at a time, so no list of every
+    line is ever held.
+    """
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[lo : lo + _ROW_CHUNK].tolist()
+        if tags is None:
+            fh.write("".join([template % tuple(r) for r in chunk]))
+        else:
+            part = tags[lo : lo + _ROW_CHUNK]
+            fh.write("".join([template % (*r, t) for r, t in zip(chunk, part)]))
 
 
 def read_mesh_text(path) -> Mesh:

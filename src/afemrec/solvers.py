@@ -69,7 +69,17 @@ class CoefficientField:
         if np.any(tensor[:, 0, 0] <= 0) or np.any(det <= 0):
             raise ValueError("coefficient tensor is not positive definite")
         self.tensor = tensor
-        self.inv = np.linalg.inv(tensor)
+        off = tensor[:, [0, 1], [1, 0]]
+        if (
+            np.all(off == 0.0)
+            and not np.signbit(off).any()
+            and np.array_equal(tensor[:, 0, 0], tensor[:, 1, 1])
+        ):
+            # exactly alpha * I: the LU solve reduces to 1 / alpha, bit for bit
+            self.inv = np.zeros_like(tensor)
+            self.inv[:, 0, 0] = self.inv[:, 1, 1] = 1.0 / tensor[:, 0, 0]
+        else:
+            self.inv = np.linalg.inv(tensor)
         iso = (
             np.abs(tensor[:, 0, 1]).max() <= 1e-14 * scale
             and np.abs(tensor[:, 0, 0] - tensor[:, 1, 1]).max() <= 1e-14 * scale

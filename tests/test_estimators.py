@@ -19,6 +19,14 @@ from afemrec.solvers import (
     solve_mixed,
     solve_nonconforming,
 )
+from test_recovery import random_spd
+
+
+# the 7-point degree-5 rule, written out independently of afemrec.basis
+_QUAD_AB = ((6.0 + np.sqrt(15.0)) / 21.0, (6.0 - np.sqrt(15.0)) / 21.0)
+_REF_WEIGHTS = np.array(
+    [9.0 / 40.0, *[(155.0 + sgn * np.sqrt(15.0)) / 1200.0 for sgn in (1, -1) for _ in range(3)]]
+)
 
 
 def zero(x, y):
@@ -295,13 +303,20 @@ def _scaled(mesh, s):
     return build_mesh(s * mesh.vertices, mesh.triangles, regions=mesh.tri_region)
 
 
-def test_touches_point_matches_per_vertex_loop():
-    # the vectorized vertex/barycentric test against a per-vertex loop, on a
-    # mesh graded towards the origin and on its copy scaled by 2^-50
+def _graded_kellogg_mesh():
+    """The 4x4 Kellogg mesh refined 20 times at the elements touching the
+    origin."""
     graded = initial_kellogg_mesh(4)
     for _ in range(20):
         at_origin = (np.abs(graded.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
         graded = refine(graded, np.flatnonzero(at_origin))
+    return graded
+
+
+def test_touches_point_matches_per_vertex_loop():
+    # the vectorized vertex/barycentric test against a per-vertex loop, on a
+    # mesh graded towards the origin and on its copy scaled by 2^-50
+    graded = _graded_kellogg_mesh()
     for s in (1.0, 2.0**-50):
         mesh = _scaled(graded, s)
         coords = mesh.tri_coords()
@@ -340,6 +355,99 @@ def test_true_energy_error_is_scale_invariant(kellogg, solver):
         )
     scaled_back = errs[1] / s ** kellogg.params["gamma"]
     assert scaled_back == pytest.approx(errs[0], rel=1e-12)
+
+
+_REF_BARY = np.array(
+    [
+        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+        *[np.roll([1.0 - 2.0 * a, a, a], k) for a in _QUAD_AB for k in range(3)],
+    ]
+)
+
+
+def _ref_subdivide(coords, levels):
+    """Physical 4-way edge-midpoint subdivision of triangles (m, 3, 2)."""
+    for _ in range(levels):
+        a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        coords = np.concatenate(
+            [np.stack(t, axis=1) for t in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))]
+        )
+    return coords
+
+
+def _ref_true_energy_error(mesh, A, sol, exact_grad, singular_points=()):
+    """The true energy error by subdividing the singular elements in
+    physical coordinates, locating every quadrature point in its element
+    for the mixed flux, and contracting the integrand with einsum."""
+    singular = np.zeros(mesh.n_triangles, dtype=bool)
+    for p in singular_points:
+        singular |= _touches_point(mesh, p)
+    coords = mesh.tri_coords()
+    tris = np.flatnonzero(~singular)
+    subs = _ref_subdivide(coords[singular], 4)
+    tris = np.concatenate([tris, np.tile(np.flatnonzero(singular), 4**4)])
+    coords = np.concatenate([coords[~singular], subs])
+    d1, d2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    pts = np.einsum("qv,tvx->tqx", _REF_BARY, coords)
+    g = np.stack(exact_grad(pts[..., 0], pts[..., 1]), axis=-1)
+    if sol.method == "mixed":
+        sig = -np.einsum("mij,mqj->mqi", A.tensor[tris], g)
+        sig_m = mesh.eval_vertex_field(
+            sol.flux_vertex_vectors(), np.repeat(tris, pts.shape[1]), pts.reshape(-1, 2)
+        ).reshape(pts.shape)
+        diff, W = sig - sig_m, A.inv[tris]
+    else:
+        diff, W = g - sol.element_gradients()[tris][:, None, :], A.tensor[tris]
+    integ = np.einsum("mij,mqj,mqi->mq", W, diff, diff)
+    return float(np.sqrt((integ @ _REF_WEIGHTS * areas).sum()))
+
+
+def _smooth_grad(x, y):
+    return np.cos(3.0 * x) * np.exp(y), np.sin(3.0 * x) * np.exp(y) + x * y
+
+
+@pytest.mark.parametrize(
+    "solver", [solve_conforming, solve_nonconforming, solve_mixed], ids=lambda f: f.__name__
+)
+def test_true_energy_error_matches_physical_reference(kellogg, solver):
+    # graded Kellogg mesh: 8 elements at the origin get the subdivided rule
+    mesh = _graded_kellogg_mesh()
+    A = kellogg.coefficient(mesh)
+    sol = solver(mesh, A, kellogg.data)
+    args = (kellogg.data.exact_grad, kellogg.data.singular_points)
+    expected = _ref_true_energy_error(mesh, A, sol, *args)
+    assert true_energy_error(mesh, A, sol, *args) == pytest.approx(expected, rel=1e-13)
+
+    # random SPD tensors, a smooth gradient, and a singular point inside an
+    # element and one on a vertex
+    mesh = unit_square_mesh(6)
+    rng = np.random.default_rng(7)
+    A = CoefficientField.from_tensor(
+        mesh, np.array([random_spd(rng, 1e3) for _ in range(mesh.n_triangles)])
+    )
+    data = ProblemData(f=lambda x, y: np.sin(x) * y, g_D=zero)
+    sol = solver(mesh, A, data)
+    points = [(0.41, 0.37), (0.5, 0.5)]
+    assert np.count_nonzero(_touches_point(mesh, points[0])) == 1
+    for singular in ([], points):
+        expected = _ref_true_energy_error(mesh, A, sol, _smooth_grad, singular)
+        got = true_energy_error(mesh, A, sol, _smooth_grad, singular)
+        assert got == pytest.approx(expected, rel=1e-13)
+
+
+def test_oscillation_matches_einsum_points():
+    mesh = _graded_kellogg_mesh()
+    A = CoefficientField.isotropic(mesh, lambda x, y: 1.0 + x**2 + 3.0 * y**2)
+    f = lambda x, y: np.exp(x) * np.cos(2.0 * y) + x * y
+    pts = np.einsum("qv,tvx->tqx", _REF_BARY, mesh.tri_coords())
+    vals = f(pts[..., 0], pts[..., 1])
+    dev_sq = (vals - (vals @ _REF_WEIGHTS)[:, None]) ** 2 @ _REF_WEIGHTS * mesh.tri_area
+    expected = mesh.tri_diam / np.sqrt(A.scalar) * np.sqrt(dev_sq)
+    h_f, h_fk = oscillation(mesh, A, f)
+    np.testing.assert_allclose(h_fk, expected, rtol=1e-13, atol=0.0)
+    assert h_f == pytest.approx(np.sqrt((expected**2).sum()), rel=1e-13)
 
 
 def test_true_energy_error_requires_gradient():

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from afemrec.cli import main, parse_cli
 from afemrec.driver import AfemConfig, run_afem
 from afemrec.io import read_history_csv, write_history_csv, write_mesh_svg
-from afemrec.mesh import unit_square_mesh
+from afemrec.mesh import initial_kellogg_mesh, refine, unit_square_mesh, write_mesh_text
 from afemrec.problems import BenchmarkProblem, manufactured_affine
 from afemrec.solvers import CoefficientField, ProblemData
 
@@ -76,6 +77,27 @@ def test_svg_indicator_coloring(tmp_path, square2):
     assert all(f.startswith("#") for f in fills)
     with pytest.raises(ValueError):
         write_mesh_svg(square2, path, indicators=np.ones(3))
+
+
+def test_writer_bytes_pinned(tmp_path):
+    # SHA-256 of both writers' output on a graded Kellogg mesh, recorded
+    # with the per-triangle f-string writers they replaced; 4768 triangles
+    # span more than one chunk of rows
+    mesh = initial_kellogg_mesh(48)
+    for _ in range(20):
+        at_origin = (np.abs(mesh.tri_coords()).sum(axis=2) == 0.0).any(axis=1)
+        mesh = refine(mesh, np.flatnonzero(at_origin))
+    assert mesh.n_triangles == 4768
+    write_mesh_svg(mesh, tmp_path / "ind.svg", indicators=mesh.tri_diam)
+    write_mesh_svg(mesh, tmp_path / "plain.svg")
+    write_mesh_text(mesh, tmp_path / "mesh.txt")
+    expected = {
+        "ind.svg": "09f678fd6410d148967c59e05781a39317dbb59ed38efce54a1eb274a885fa26",
+        "plain.svg": "8a3c1341be5864cc92d81af822aab66b373e382b29ee93fe7ca8601f663c7014",
+        "mesh.txt": "e434aff3c5db3af719ab3332bf353ebf1b3e35baae2ca821f537d0a870aded61",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_parse_cli_defaults():

@@ -1,8 +1,12 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from afemrec.basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
 from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
+from afemrec.problems import kellogg_problem
 from afemrec.solvers import (
     CoefficientField,
     DiscreteSolution,
@@ -271,6 +275,30 @@ def test_coefficient_field_validation():
         A.require_scalar()
     B = CoefficientField.isotropic(mesh, 2.5)
     assert np.all(B.require_scalar() == 2.5)
+
+
+def test_isotropic_inverse_matches_lapack_bitwise():
+    # A.inv feeds the RT Gram blocks and through them the marking, so the
+    # closed-form inverse of alpha * I must equal the LAPACK one bit for
+    # bit, zero signs included
+    mesh = unit_square_mesh(32)
+    rng = np.random.default_rng(0)
+    fields = [
+        CoefficientField.isotropic(mesh, 10.0 ** rng.uniform(-8.0, 8.0, mesh.n_triangles))
+        for _ in range(3)
+    ]
+    # the Kellogg R of the benchmark seeds: the paper's R, and three draws
+    # log-uniform from the 1 % below it
+    R0 = kellogg_problem().params["R"]
+    kmesh = initial_kellogg_mesh(8)
+    for seed in range(4):
+        R = R0 * math.exp(random.Random(seed).uniform(math.log1p(-0.01), 0.0)) if seed else R0
+        fields.append(kellogg_problem(R=R).coefficient(kmesh))
+    for A in fields:
+        assert A.scalar is not None
+        expected = np.linalg.inv(A.tensor)
+        assert np.array_equal(A.inv, expected)
+        assert np.array_equal(np.signbit(A.inv), np.signbit(expected))
 
 
 def test_missing_neumann_data_raises():
