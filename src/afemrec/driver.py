@@ -128,9 +128,11 @@ class ConvergenceHistory:
 def dorfler_mark(eta_elements: np.ndarray, theta: float) -> np.ndarray:
     """Smallest prefix of elements (by descending indicator, id tie-break)
     whose squared indicators reach ``theta^2`` of the total.  All-zero
-    indicators yield an empty set."""
+    indicators yield an empty set; NaN or infinite ones raise ValueError."""
     eta_sq = np.asarray(eta_elements, dtype=float) ** 2
     total = eta_sq.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"indicator sum of squares is {total}")
     if total <= 0.0:
         return np.array([], dtype=np.int64)
     order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))

@@ -70,9 +70,17 @@ def _check_arrays(vertices, triangles):
         raise MeshError("triangle references an unknown vertex")
 
 
-def _lookup(table, keys):
-    """``(pos, found)`` of each of ``keys`` in the sorted, nonempty ``table``."""
-    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+def _lookup(pairs, keys, nv):
+    """``(pos, found)``: for each of the edge ``keys``, the index of the first
+    of the vertex-id ``pairs`` (n, 2) that names that edge in either direction,
+    and whether there is one.  A pair with an id outside ``[0, nv)`` names none."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    known = ((pairs >= 0) & (pairs < nv)).all(axis=1)
+    table = np.where(known, _encode(pairs[:, 0], pairs[:, 1], nv), -1)
+    order = np.argsort(table, kind="stable")
+    pos = order[np.minimum(np.searchsorted(table[order], keys), len(table) - 1)]
     return pos, table[pos] == keys
 
 
@@ -99,9 +107,11 @@ class Mesh:
     grad_lambda : (nt, 3, 2) float gradients of the barycentric coordinates
     vertex_label : (nv,) int vertex classification (Dirichlet wins at corners)
 
-    ``label_of_key`` is the boundary-label table ``(keys, labels)``: sorted
-    edge keys ``min(a, b) * nv + max(a, b)`` of vertex-id pairs and their
-    DIRICHLET / NEUMANN labels.  Every boundary edge must be listed.
+    ``boundary = (pairs, labels)`` gives vertex-id pairs (n, 2), in either
+    direction, and their DIRICHLET / NEUMANN labels; every boundary edge must
+    be listed.  ``inherited`` gives directed ``(s, e)`` pairs (m, 2) that fix
+    the orientation of their edges.  Pairs that are not edges of this mesh
+    are ignored; an edge listed twice takes its first record.
     """
 
     def __init__(
@@ -110,8 +120,8 @@ class Mesh:
         triangles,
         tri_region,
         refinement_edge,
-        label_of_key,
-        orient_table=None,
+        boundary,
+        inherited=(),
     ):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -149,20 +159,16 @@ class Mesh:
         order = np.argsort(inverse, kind="stable")
         first = np.searchsorted(inverse[order], np.arange(ne))
         two = counts == 2
-        boundary = ~two
+        on_boundary = ~two
         inc = np.full((ne, 2), -1, dtype=np.int64)
         inc[:, 0] = order[first]
         inc[two, 1] = order[first[two] + 1]
 
-        # labels: the sorted (keys, labels) table is keyed like ukeys
         label = np.zeros(ne, dtype=np.int64)
-        bidx = np.flatnonzero(boundary)
-        lkeys, lvals = label_of_key
-        found = np.zeros(len(bidx), dtype=bool)
-        if len(lkeys):
-            pos, found = _lookup(lkeys, ukeys[bidx])
-            found &= np.isin(lvals[pos], (DIRICHLET, NEUMANN))
-            label[bidx] = lvals[pos]
+        bidx = np.flatnonzero(on_boundary)
+        pos, found = _lookup(boundary[0], ukeys[bidx], nv)
+        label[bidx[found]] = np.asarray(boundary[1], dtype=np.int64)[pos[found]]
+        found &= np.isin(label[bidx], (DIRICHLET, NEUMANN))
         if not found.all():
             miss = bidx[np.flatnonzero(~found)[0]]
             a, b = divmod(int(ukeys[miss]), nv)
@@ -176,14 +182,13 @@ class Mesh:
         start = triangles[tri0, (slot0 + 1) % 3]
         s_ids = start.copy()
         e_ids = triangles[tri0, (slot0 + 2) % 3]
-        if orient_table is not None and len(orient_table[0]):
-            okeys, os_, oe_ = orient_table
-            pos, found = _lookup(okeys, ukeys)
-            s_ids[found] = os_[pos[found]]
-            e_ids[found] = oe_[pos[found]]
+        inherited = np.asarray(inherited, dtype=np.int64).reshape(-1, 2)
+        pos, found = _lookup(inherited, ukeys, nv)
+        s_ids[found] = inherited[pos[found], 0]
+        e_ids[found] = inherited[pos[found], 1]
         # K- is the triangle around which s -> e runs counterclockwise
         flip = s_ids != start
-        if np.any(flip & boundary):
+        if np.any(flip & on_boundary):
             raise MeshError("inherited edge normal points out of the domain")
         inc = np.where(flip[:, None], inc[:, ::-1], inc)
         has = inc >= 0
@@ -390,19 +395,19 @@ def build_mesh(vertices, triangles, boundary_labeler=None, regions=None) -> Mesh
     nv = len(vertices)
     keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
     ukeys, counts = np.unique(keys, return_counts=True)
-    bkeys = ukeys[counts == 1]
+    pairs = np.stack(np.divmod(ukeys[counts == 1], nv), axis=1)
     if boundary_labeler is None:
-        labels = np.full(len(bkeys), DIRICHLET)
+        labels = np.full(len(pairs), DIRICHLET)
     else:
         code = {DIRICHLET: DIRICHLET, NEUMANN: NEUMANN, **_CHAR_LABEL}
         labels = np.array(
-            [code.get(boundary_labeler(vertices[k // nv], vertices[k % nv]), -1)
-             for k in bkeys],
+            [code.get(boundary_labeler(vertices[a], vertices[b]), -1)
+             for a, b in pairs],
             dtype=np.int64,
         )
     if regions is None:
         regions = np.zeros(len(triangles), dtype=np.int64)
-    return Mesh(vertices, triangles, regions, ref_local, (bkeys, labels))
+    return Mesh(vertices, triangles, regions, ref_local, (pairs, labels))
 
 
 def refine(mesh: Mesh, marked_elements) -> Mesh:
@@ -438,34 +443,14 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     new_vertices = np.vstack([mesh.vertices, midpoints])
     nv_new = len(new_vertices)
 
-    cut_keys = _encode(mesh.edges[cut_ids, 0], mesh.edges[cut_ids, 1], nv_new)
-    key_order = np.argsort(cut_keys)
-    cut_keys_sorted = cut_keys[key_order]
-    mid_sorted = mid_of_cut[key_order]
-
-    # label inheritance: surviving boundary edges and halves of cut ones
+    # surviving edges keep their (s, e) pair and label, both halves of a cut
+    # boundary edge take its label, and Mesh ignores the cut edges' records
     bnd = np.flatnonzero(mesh.edge_label != INTERIOR)
-    bkeep = bnd[~cut[bnd]]
     bcut = bnd[cut[bnd]]
-    mid_b = mid_of_cut[np.searchsorted(cut_ids, bcut)]
-    lkeys = np.concatenate(
-        [
-            _encode(mesh.edges[bkeep, 0], mesh.edges[bkeep, 1], nv_new),
-            _encode(mesh.edges[bcut, 0], mid_b, nv_new),
-            _encode(mesh.edges[bcut, 1], mid_b, nv_new),
-        ]
-    )
-    lvals = np.concatenate(
-        [mesh.edge_label[bkeep], mesh.edge_label[bcut], mesh.edge_label[bcut]]
-    )
-    lorder = np.argsort(lkeys)
-    label_table = (lkeys[lorder], lvals[lorder])
-
-    # surviving edges keep their (s, e) pair
-    kept = mesh.edges[~cut]
-    okeys = _encode(kept[:, 0], kept[:, 1], nv_new)
-    oorder = np.argsort(okeys)
-    orient_table = (okeys[oorder], kept[oorder, 0], kept[oorder, 1])
+    mid_b = np.tile(mid_of_cut[np.searchsorted(cut_ids, bcut)], 2)
+    halves = np.column_stack([mesh.edges[bcut].T.ravel(), mid_b])
+    pairs = np.concatenate([mesh.edges[bnd], halves])
+    labels = np.concatenate([mesh.edge_label[bnd], np.tile(mesh.edge_label[bcut], 2)])
 
     verts = mesh.triangles
     region = mesh.tri_region
@@ -476,10 +461,10 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
         i2 = (ref + 2) % 3
         b = verts[rows, i1]
         c = verts[rows, i2]
-        pos, split = _lookup(cut_keys_sorted, _encode(b, c, nv_new))
+        pos, split = _lookup(mesh.edges[cut_ids], _encode(b, c, nv_new), nv_new)
         if not split.any():
             break
-        m = mid_sorted[pos]
+        m = mid_of_cut[pos]
         p = verts[rows, ref]
 
         counts = 1 + split.astype(np.int64)
@@ -508,7 +493,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     else:  # pragma: no cover - at most three bisection passes are possible
         raise MeshError("bisection pass limit exceeded")
 
-    return Mesh(new_vertices, verts, region, ref, label_table, orient_table)
+    return Mesh(new_vertices, verts, region, ref, (pairs, labels), mesh.edges)
 
 
 def _structured_square(n, lo, hi):
@@ -605,15 +590,13 @@ def read_mesh_text(path) -> Mesh:
         for t in range(nt):
             tris[t] = [int(next(it)), int(next(it)), int(next(it))]
             regions[t] = int(next(it))
-        labels = {}
-        for _ in range(nb):
+        records = np.empty((nb, 3), dtype=np.int64)
+        for k in range(nb):
             a, b = int(next(it)), int(next(it))
             lab = next(it)
             if lab not in _CHAR_LABEL:
                 raise MeshError(f"unknown boundary label {lab!r}")
-            if not (0 <= a < nv and 0 <= b < nv):
-                raise MeshError(f"boundary edge ({a}, {b}) references an unknown vertex")
-            labels[int(_encode(a, b, nv))] = _CHAR_LABEL[lab]
+            records[k] = a, b, _CHAR_LABEL[lab]
     except StopIteration:
         raise MeshError("truncated mesh file") from None
     except ValueError as exc:
@@ -621,6 +604,8 @@ def read_mesh_text(path) -> Mesh:
 
     # vertex ids are preserved, so labels resolve directly by id pair
     vertices, tris, ref_local = _prepare(vertices, tris)
-    lkeys = np.array(sorted(labels), dtype=np.int64)
-    lvals = np.array([labels[k] for k in lkeys], dtype=np.int64)
-    return Mesh(vertices, tris, regions, ref_local, (lkeys, lvals))
+    mesh = Mesh(vertices, tris, regions, ref_local, (records[:, :2], records[:, 2]))
+    # every boundary edge has a label, so a count match leaves no repeated record
+    if nb != mesh.n_edges - len(mesh.interior_edges):
+        raise MeshError("each boundary edge needs exactly one E record")
+    return mesh

@@ -204,19 +204,12 @@ def kellogg_problem(
         y = np.asarray(y, dtype=float)
         r, theta = polar(x, y)
         i = piece_of(theta)
-        arg = (theta + phase[i]) * gamma
-        mu = amp[i] * np.cos(arg)
-        dmu = (-gamma * amp[i]) * np.sin(arg)
-        pos = r > 0.0
-        rg1 = np.zeros_like(r)
-        np.power(r, gamma - 1.0, out=rg1, where=pos)
-        rinv = np.zeros_like(r)
-        np.divide(1.0, r, out=rinv, where=pos)
-        ct = x * rinv  # cos(theta), sin(theta) without extra trig passes
-        st = y * rinv
-        gx = rg1 * (gamma * mu * ct - dmu * st)
-        gy = rg1 * (gamma * mu * st + dmu * ct)
-        return gx, gy
+        # grad(r^g a cos(g (theta + phase))) = g a r^(g-1) (cos psi, -sin psi)
+        psi = (gamma - 1.0) * theta + gamma * phase[i]
+        scale = np.zeros_like(r)
+        np.power(r, gamma - 1.0, out=scale, where=r > 0.0)
+        scale *= gamma * amp[i]
+        return scale * np.cos(psi), -scale * np.sin(psi)
 
     def alpha_at(x, y):
         x = np.asarray(x, dtype=float)

@@ -29,6 +29,12 @@ def test_dorfler_zero_indicators_empty():
     assert dorfler_mark(np.zeros(5), 0.5).size == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dorfler_rejects_non_finite_indicators(bad):
+    with pytest.raises(ValueError):
+        dorfler_mark(np.array([1.0, bad, 2.0, 0.5]), 0.5)
+
+
 def test_dorfler_minimality_and_ties():
     rng = np.random.default_rng(0)
     for _ in range(20):

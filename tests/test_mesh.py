@@ -4,6 +4,7 @@ import pytest
 from afemrec.basis import LocalTriangleFrame
 from afemrec.mesh import (
     DIRICHLET,
+    INTERIOR,
     NEUMANN,
     Mesh,
     MeshError,
@@ -235,18 +236,45 @@ def test_refinement_keeps_edge_normals():
 
 def test_inherited_orientation_must_keep_boundary_normals_outward(square2):
     m = square2
-    nv = m.n_vertices
-    keys = np.sort(m.edges, axis=1) @ np.array([nv, 1])
     bnd = m.dirichlet_edges
-    order = np.argsort(keys[bnd])
-    labels = (keys[bnd][order], np.full(len(bnd), DIRICHLET))
+    labels = (m.edges[bnd], np.full(len(bnd), DIRICHLET))
     F = bnd[0]
-    s, e = m.edges[F]
     args = (m.vertices, m.triangles, m.tri_region, m.refinement_edge, labels)
-    kept = Mesh(*args, (keys[[F]], np.array([s]), np.array([e])))
+    kept = Mesh(*args, m.edges[[F]])
     assert np.array_equal(kept.edges, m.edges)
     with pytest.raises(MeshError, match="points out of the domain"):
-        Mesh(*args, (keys[[F]], np.array([e]), np.array([s])))
+        Mesh(*args, m.edges[[F], ::-1])
+
+
+def test_constructor_takes_unordered_records():
+    def labeler(a, b):
+        return "N" if 0.5 * (a + b)[1] > 0.999 else "D"
+
+    m = unit_square_mesh(2, boundary_labeler=labeler)
+    m = refine(m, [0, 3])
+    m = refine(m, np.arange(0, m.n_triangles, 2))
+    assert len(m.neumann_edges) and len(m.dirichlet_edges)
+    rng = np.random.default_rng(5)
+    bnd = rng.permutation(np.flatnonzero(m.edge_label != INTERIOR))
+    # vertices 0 and 2 end the bottom side, with vertex 1 between them
+    assert {0, 2} not in [set(e) for e in m.edges.tolist()]
+    # an unknown id names no edge, though (a - 1, b + nv) encodes like (a, b)
+    F = next(f for f in bnd if m.edges[f].min() > 0)
+    a, b = np.sort(m.edges[F])
+    alias = [a - 1, b + m.n_vertices]
+    pairs = np.vstack([alias, m.edges[bnd, ::-1], [0, 2]])
+    labels = np.concatenate([[3 - m.edge_label[F]], m.edge_label[bnd], [NEUMANN]])
+    r = Mesh(
+        m.vertices,
+        m.triangles,
+        m.tri_region,
+        m.refinement_edge,
+        (pairs, labels),
+        m.edges[rng.permutation(m.n_edges)],
+    )
+    assert vars(r).keys() == vars(m).keys()
+    for name, value in vars(m).items():
+        assert np.array_equal(getattr(r, name), value), name
 
 
 def test_mesh_text_roundtrip(tmp_path):
@@ -287,6 +315,11 @@ def test_mesh_text_rejects_malformed(tmp_path):
         "3 1 1\n0 0\n1 0\n0 1\n0 1 7 0\n0 1 D\n",
         # (0, 5) must not alias the edge (1, 2) of a 3-vertex mesh
         "3 1 4\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n0 5 N\n",
+        # each boundary edge must have exactly one record
+        "3 1 4\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n0 1 N\n1 2 D\n2 0 D\n",
+        "3 1 4\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 0 D\n1 2 D\n2 0 D\n",
+        "4 2 5\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n"
+        "0 1 D\n1 2 D\n2 3 D\n3 0 D\n0 2 D\n",
     ):
         path.write_text(text)
         with pytest.raises(MeshError):
