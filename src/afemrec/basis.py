@@ -202,6 +202,23 @@ def _vertex_vectors(family, x, k, s, e, h, area, grad_lambda, sign=1.0):
     return C
 
 
+# rows per block of the edge- and element-wise kernels that would otherwise
+# gather several full-size temporaries at once
+BLOCK = 4096
+
+
+def _blocks(n):
+    """Slices covering ``range(n)`` in order, each of at least ``BLOCK``
+    rows (one slice if ``n`` is smaller) and fewer than ``2 * BLOCK``.
+
+    No block has a single row, for which matmul takes another path and
+    rounds differently; the kernels blocked here give every row the bits of
+    the unblocked call.
+    """
+    bounds = [*range(0, max(n - BLOCK, 1), BLOCK), n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _side_table(mesh, family):
     """Global edge dofs of ``family`` on both sides of every edge.
 
@@ -209,22 +226,27 @@ def _side_table(mesh, family):
     edges that have that side: ``tri`` the side elements and ``C``
     (m, ndof, 3, 2) the vertex-vector form of the dofs there.  Flux dofs
     measure the ``n_F`` normal trace, so they carry ``sgn = -1`` on ``K+``.
+    The element data is gathered a block of edges at a time.
     """
+    ndof = 1 if family in ("rt", "ne") else 2
     table = []
     for side in (0, 1):
         eids = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
         tri = mesh.edge_tris[eids, side]
-        C = _vertex_vectors(
-            family,
-            mesh.vertices[mesh.triangles[tri]],
-            mesh.edge_slot[eids, side],
-            mesh.edge_loc_s[eids, side],
-            mesh.edge_loc_e[eids, side],
-            mesh.edge_length[eids],
-            mesh.tri_area[tri],
-            mesh.grad_lambda[tri],
-            sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
-        )
+        C = np.empty((len(eids), ndof, 3, 2))
+        for b in _blocks(len(eids)):
+            e, t = eids[b], tri[b]
+            C[b] = _vertex_vectors(
+                family,
+                mesh.vertices[mesh.triangles[t]],
+                mesh.edge_slot[e, side],
+                mesh.edge_loc_s[e, side],
+                mesh.edge_loc_e[e, side],
+                mesh.edge_length[e],
+                mesh.tri_area[t],
+                mesh.grad_lambda[t],
+                sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
+            )
         table.append((eids, tri, C))
     return tuple(table)
 
@@ -232,12 +254,14 @@ def _side_table(mesh, family):
 def _accumulate_vertex_vectors(table, side_coef, nt):
     """(nt, 3, 2) vertex-vector form of ``sum_F coef_F psi_F`` over the
     side table ``table`` of :func:`_side_table`, with ``side_coef`` the
-    (ne, 2) or (ne, 2, ndof) dof values on each side of each edge."""
+    (ne, 2) or (ne, 2, ndof) dof values on each side of each edge.  Blocks
+    of edges are added in order, so every sum keeps its order."""
     side_coef = side_coef.reshape(len(side_coef), 2, -1)
     out = np.zeros((nt, 3, 2))
     for side, (eids, tri, C) in enumerate(table):
-        contrib = np.einsum("md,mdvx->mvx", side_coef[eids, side], C)
-        np.add.at(out, tri, contrib)
+        for b in _blocks(len(eids)):
+            contrib = np.einsum("md,mdvx->mvx", side_coef[eids[b], side], C[b])
+            np.add.at(out, tri[b], contrib)
     return out
 
 
@@ -339,8 +363,11 @@ def _weighted_norm_sq(W, C, area):
     mesh, depend on these bits, and the Gram order moves them by an ulp,
     which flips picks between tied elements and changes later meshes.
     """
-    q = np.einsum("mij,mvj,mwi->mvw", W, C, C)
-    return np.einsum("mvw,vw->m", q, _P1_MASS) * area
+    out = np.empty(len(C))
+    for b in _blocks(len(C)):
+        q = np.einsum("mij,mvj,mwi->mvw", W[b], C[b], C[b])
+        out[b] = np.einsum("mvw,vw->m", q, _P1_MASS) * area[b]
+    return out
 
 
 def weighted_mass_entry(

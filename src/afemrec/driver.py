@@ -157,18 +157,13 @@ def _estimate(mesh, A, config, data):
     sol = _SOLVERS[config.method](mesh, A, data)
     traces = edge_traces(mesh, A, sol, data)
     if config.method == "nonconforming":
-        fam_flux, fam_grad = config.family.split("-")
-        fields = (
-            recover(mesh, A, traces, "nonconforming", fam_flux),
-            recover(mesh, A, traces, "nonconforming", fam_grad),
-        )
-        ind = indicators(
-            mesh, A, fields, "nonconforming", c=(config.c1, 1.0 - config.c1)
-        )
+        fields = [recover(mesh, A, traces, "nonconforming", fam)
+                  for fam in config.family.split("-")]
     else:
-        fld = recover(mesh, A, traces, config.method, config.family)
-        ind = indicators(mesh, A, fld, config.method)
-    return sol, ind
+        fields = recover(mesh, A, traces, config.method, config.family)
+    del traces  # the indicators read only the recovered fields
+    # the weights c only apply to the nonconforming pair
+    return sol, indicators(mesh, A, fields, config.method, c=(config.c1, 1.0 - config.c1))
 
 
 def run_afem(config: AfemConfig) -> ConvergenceHistory:
@@ -217,8 +212,6 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
                 max_diam=float(mesh.tri_diam.max()),
             )
         )
-        history.final_mesh = mesh
-        history.final_indicators = ind.eta_elements
 
         if dofs >= config.max_dof or iteration >= config.max_iter:
             break
@@ -228,6 +221,12 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
             marked = dorfler_mark(ind.eta_elements, config.theta)
         if marked.size == 0:
             break
+        # one iteration's state at a time: only the mesh and the marked set
+        # reach refine, and neither outlives it
+        del sol, ind, A
         mesh = refine(mesh, marked)
+        del marked
 
+    history.final_mesh = mesh
+    history.final_indicators = ind.eta_elements
     return history

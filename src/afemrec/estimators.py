@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _weighted_norm_sq
+from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _blocks, _weighted_norm_sq
 from .mesh import INTERIOR, NEUMANN, Mesh
 from .recovery import RecoveredField, compute_jumps
 from .solvers import CoefficientField, DiscreteSolution, EdgeTraces
@@ -234,10 +234,12 @@ def oscillation(mesh: Mesh, A: CoefficientField, f):
     (P0 projection) and norm both from the 7-point degree-5 rule.
     """
     alpha = A.require_scalar()
-    x, y = _bary_points(mesh, slice(None), TRI_QUAD_BARY)
-    vals = np.asarray(f(x, y), dtype=float)
-    mean = vals @ TRI_QUAD_WEIGHTS
-    dev_sq = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area
+    dev_sq = np.empty(mesh.n_triangles)
+    for b in _blocks(mesh.n_triangles):
+        x, y = _bary_points(mesh, b, TRI_QUAD_BARY)
+        vals = np.asarray(f(x, y), dtype=float)
+        mean = vals @ TRI_QUAD_WEIGHTS
+        dev_sq[b] = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area[b]
     h_fk = mesh.tri_diam / np.sqrt(alpha) * np.sqrt(np.maximum(dev_sq, 0.0))
     return float(np.sqrt((h_fk**2).sum())), h_fk
 
@@ -249,14 +251,31 @@ def _touches_point(mesh: Mesh, p) -> np.ndarray:
     The vertex test is exact coordinate equality and the containment test
     is barycentric, so both are dimensionless: the selection does not
     change when the mesh and ``p`` are scaled together, however fine the
-    mesh is graded.
+    mesh is graded.  Both run only on the candidates whose bounding box,
+    widened by ``1e-10`` times the largest element diameter, holds ``p``;
+    an element outside that box has a barycentric coordinate of ``p``
+    below ``-1e-11``, so no element passing the tests is left out.
     """
     p = np.asarray(p, dtype=float)
-    coords = mesh.tri_coords()
+    margin = 1e-10 * mesh.tri_diam.max(initial=0.0)
+    # one bit per side of the widened box around p that a vertex lies
+    # beyond; the box misses a triangle whose three vertices share a bit
+    v = mesh.vertices
+    code = (
+        (v[:, 0] < p[0] - margin)
+        | (v[:, 0] > p[0] + margin) << 1
+        | (v[:, 1] < p[1] - margin) << 2
+        | (v[:, 1] > p[1] + margin) << 3
+    ).astype(np.uint8)
+    c = code[mesh.triangles]
+    cand = np.flatnonzero((c[:, 0] & c[:, 1] & c[:, 2]) == 0)
+    coords = v[mesh.triangles[cand]]
     vertex = (coords == p).all(axis=2).any(axis=1)
-    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda, p - coords)
+    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda[cand], p - coords)
     inside = (lam > -1e-12).all(axis=1)
-    return vertex | inside
+    out = np.zeros(mesh.n_triangles, dtype=bool)
+    out[cand] = vertex | inside
+    return out
 
 
 def true_energy_error(
@@ -297,19 +316,29 @@ def true_energy_error(
 
     total = 0.0
     if regular.size:
-        total += _energy_error_sq(
-            mesh, A, field, exact_grad, regular, TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
-        )
+        # blocks bound the temporaries; each element keeps its bits and the
+        # per-element values are summed once, so the total keeps its bits
+        vals = np.empty(regular.size)
+        for b in _blocks(regular.size):
+            vals[b] = _energy_error_density(
+                mesh, A, field, exact_grad, regular[b], TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
+            )
+        total += float(vals.sum())
     if singular.size:
-        total += _energy_error_sq(
-            mesh, A, field, exact_grad, singular, _SINGULAR_BARY, _SINGULAR_WEIGHTS
+        # the few singular elements stay one batch: over 1792 points, a
+        # row's matmul rounding depends on its position in the batch
+        total += float(
+            _energy_error_density(
+                mesh, A, field, exact_grad, singular, _SINGULAR_BARY, _SINGULAR_WEIGHTS
+            ).sum()
         )
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _energy_error_sq(mesh, A, field, exact_grad, tris, bary, weights) -> float:
-    """Squared energy error over the elements ``tris`` from the barycentric
-    rule ``bary`` (q, 3) with weights ``weights`` (q,) summing to 1.
+def _energy_error_density(mesh, A, field, exact_grad, tris, bary, weights) -> np.ndarray:
+    """(m,) squared energy error on each of the elements ``tris`` from the
+    barycentric rule ``bary`` (q, 3) with weights ``weights`` (q,) summing
+    to 1.
 
     ``field`` is the discrete gradient (nt, 2), constant per element, or the
     mixed flux in vertex-vector form (nt, 3, 2), which the same table
@@ -336,4 +365,4 @@ def _energy_error_sq(mesh, A, field, exact_grad, tris, bary, weights) -> float:
         + (w[:, 0, 1] + w[:, 1, 0])[:, None] * dx * dy
         + w[:, 1, 1, None] * dy**2
     )
-    return float((integ @ weights * mesh.tri_area[tris]).sum())
+    return integ @ weights * mesh.tri_area[tris]

@@ -70,6 +70,54 @@ def _check_arrays(vertices, triangles):
         raise MeshError("triangle references an unknown vertex")
 
 
+def _element_geometry(vertices, triangles):
+    """``(area, diam, grad_lambda)`` of the triangles; raises MeshError for
+    a degenerate or clockwise one."""
+    coords = vertices[triangles]  # (nt, 3, 2)
+    area2 = _area2(coords)
+    if np.any(area2 <= 0.0):
+        bad = int(np.argmax(area2 <= 0.0))
+        raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
+    # edge vectors e_l = x_{l+2} - x_{l+1} (opposite local vertex l)
+    evec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+    del coords
+    diam = np.linalg.norm(evec, axis=2).max(axis=1)
+    grad_lambda = _rot90(evec)
+    del evec
+    grad_lambda /= area2[:, None, None]
+    return 0.5 * area2, diam, grad_lambda
+
+
+def _unique_edges(triangles, nv):
+    """``(ukeys, inverse, inc)``: the sorted keys of the distinct edges
+    (ne,), the edge of each incidence ``t * 3 + slot`` (nt * 3,), and the
+    incidences of each edge (ne, 2), lower triangle first and -1 where
+    there is no second.
+
+    One stable argsort of the incidence keys gives all three: it groups the
+    incidences by edge and keeps each group in triangle order.
+    """
+    keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    ukeys = keys[first]
+    del keys
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    del new
+    counts = np.diff(first, append=len(order))
+    if counts.max(initial=0) > 2:
+        raise MeshError("non-manifold edge (more than two adjacent triangles)")
+    inc = np.full((len(first), 2), -1, dtype=np.int64)
+    inc[:, 0] = order[first]
+    two = np.flatnonzero(counts == 2)
+    inc[two, 1] = order[first[two] + 1]
+    return ukeys, inverse, inc
+
+
 def _lookup(pairs, keys, nv):
     """``(pos, found)``: for each of the edge ``keys``, the index of the first
     of the vertex-id ``pairs`` (n, 2) that names that edge in either direction,
@@ -133,36 +181,13 @@ class Mesh:
         self.tri_region = np.ascontiguousarray(tri_region, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
 
-        coords = vertices[triangles]  # (nt, 3, 2)
-        area2 = _area2(coords)
-        if np.any(area2 <= 0.0):
-            bad = int(np.argmax(area2 <= 0.0))
-            raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
-        self.tri_area = 0.5 * area2
-
-        # edge vectors e_l = x_{l+2} - x_{l+1} (opposite local vertex l)
-        evec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-        elen = np.linalg.norm(evec, axis=2)
-        self.tri_diam = elen.max(axis=1)
-        self.grad_lambda = _rot90(evec) / area2[:, None, None]
-
-        # deduplicate edges
-        keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
-        ukeys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        if counts.max(initial=0) > 2:
-            raise MeshError("non-manifold edge (more than two adjacent triangles)")
+        self.tri_area, self.tri_diam, self.grad_lambda = _element_geometry(
+            vertices, triangles
+        )
+        ukeys, inverse, inc = _unique_edges(triangles, nv)
         ne = len(ukeys)
         self.tri_edges = inverse.reshape(nt, 3)
-
-        # incidences t * 3 + slot grouped by edge: the stable sort lists the
-        # lower-id triangle of every edge first
-        order = np.argsort(inverse, kind="stable")
-        first = np.searchsorted(inverse[order], np.arange(ne))
-        two = counts == 2
-        on_boundary = ~two
-        inc = np.full((ne, 2), -1, dtype=np.int64)
-        inc[:, 0] = order[first]
-        inc[two, 1] = order[first[two] + 1]
+        on_boundary = inc[:, 1] < 0
 
         label = np.zeros(ne, dtype=np.int64)
         bidx = np.flatnonzero(on_boundary)
@@ -191,6 +216,7 @@ class Mesh:
         if np.any(flip & on_boundary):
             raise MeshError("inherited edge normal points out of the domain")
         inc = np.where(flip[:, None], inc[:, ::-1], inc)
+        del ukeys, tri0, slot0, start, pos, found, flip
         has = inc >= 0
         self.edge_tris = np.where(has, inc // 3, -1)
         self.edge_slot = np.where(has, inc % 3, -1)
@@ -200,15 +226,17 @@ class Mesh:
 
         self.edges = np.stack([s_ids, e_ids], axis=1)
         self.edge_label = label
-        s_to_e = vertices[e_ids] - vertices[s_ids]
-        self.edge_length = np.linalg.norm(s_to_e, axis=1)
-        self.edge_tangent = s_to_e / self.edge_length[:, None]
-        self.edge_normal = -_rot90(self.edge_tangent)  # (t_y, -t_x)
+        tangent = vertices[e_ids] - vertices[s_ids]
+        del inc, has, s_ids, e_ids
+        self.edge_length = np.linalg.norm(tangent, axis=1)
+        tangent /= self.edge_length[:, None]
+        self.edge_tangent = tangent
+        self.edge_normal = -_rot90(tangent)  # (t_y, -t_x)
 
         sign = np.where(
             self.edge_tris[self.tri_edges, 0] == np.arange(nt)[:, None], 1, -1
         )
-        self.tri_edge_sign = sign.astype(np.int64)
+        self.tri_edge_sign = sign.astype(np.int64, copy=False)
 
         vlabel = np.zeros(nv, dtype=np.int64)
         neu = self.edges[label == NEUMANN]
@@ -270,8 +298,10 @@ class Mesh:
         c = self.tri_coords()
         return 0.5 * (c[:, [1, 2, 0]] + c[:, [2, 0, 1]])
 
-    def edge_midpoints(self):
-        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
+    def edge_midpoints(self, eids=slice(None)):
+        """(m, 2) midpoints of the edges ``eids`` (default: all)."""
+        ends = self.edges[eids]
+        return 0.5 * (self.vertices[ends[:, 0]] + self.vertices[ends[:, 1]])
 
     def tri_barycenters(self):
         return self.tri_coords().mean(axis=1)
@@ -307,10 +337,13 @@ class Mesh:
         """Outward normal of K- must equal n_F on every edge (to 1e-13)."""
         km = self.edge_tris[:, 0]
         opp = self.triangles[km, self.edge_slot[:, 0]]
-        mid = self.edge_midpoints()
-        out = ((mid - self.vertices[opp]) * self.edge_normal).sum(axis=1)
-        evec = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        tangential = np.abs((evec * self.edge_normal).sum(axis=1))
+        d = self.edge_midpoints()
+        d -= self.vertices[opp]
+        d *= self.edge_normal
+        out = d.sum(axis=1)
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        d *= self.edge_normal
+        tangential = np.abs(d.sum(axis=1))
         unit = np.abs((self.edge_normal**2).sum(axis=1) - 1.0)
         if (
             np.any(out <= 0.0)
@@ -393,9 +426,8 @@ def build_mesh(vertices, triangles, boundary_labeler=None, regions=None) -> Mesh
     """
     vertices, triangles, ref_local = _prepare(vertices, triangles)
     nv = len(vertices)
-    keys = _encode(triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel(), nv)
-    ukeys, counts = np.unique(keys, return_counts=True)
-    pairs = np.stack(np.divmod(ukeys[counts == 1], nv), axis=1)
+    ukeys, _, inc = _unique_edges(triangles, nv)
+    pairs = np.stack(np.divmod(ukeys[inc[:, 1] < 0], nv), axis=1)
     if boundary_labeler is None:
         labels = np.full(len(pairs), DIRICHLET)
     else:
@@ -439,8 +471,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
 
     cut_ids = np.flatnonzero(cut)
     mid_of_cut = nv + np.arange(len(cut_ids), dtype=np.int64)
-    midpoints = mesh.edge_midpoints()[cut_ids]
-    new_vertices = np.vstack([mesh.vertices, midpoints])
+    new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints(cut_ids)])
     nv_new = len(new_vertices)
 
     # surviving edges keep their (s, e) pair and label, both halves of a cut
@@ -452,6 +483,16 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     pairs = np.concatenate([mesh.edges[bnd], halves])
     labels = np.concatenate([mesh.edge_label[bnd], np.tile(mesh.edge_label[bcut], 2)])
 
+    # the passes' temporaries are gone before the new mesh is built
+    triangles, region, ref = _bisect(mesh, cut_ids, mid_of_cut, nv_new)
+    return Mesh(new_vertices, triangles, region, ref, (pairs, labels), mesh.edges)
+
+
+def _bisect(mesh: Mesh, cut_ids, mid_of_cut, nv_new):
+    """``(triangles, region, refinement_edge)`` after bisecting every
+    triangle of ``mesh`` across its refinement edge while that edge is one
+    of the ``cut_ids``, whose midpoints have the vertex ids ``mid_of_cut``;
+    at most three passes deep."""
     verts = mesh.triangles
     region = mesh.tri_region
     ref = mesh.refinement_edge
@@ -463,7 +504,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
         c = verts[rows, i2]
         pos, split = _lookup(mesh.edges[cut_ids], _encode(b, c, nv_new), nv_new)
         if not split.any():
-            break
+            return verts, region, ref
         m = mid_of_cut[pos]
         p = verts[rows, ref]
 
@@ -490,10 +531,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
         new_ref[starts[sp] + 1] = 1
 
         verts, region, ref = new_verts, new_region, new_ref
-    else:  # pragma: no cover - at most three bisection passes are possible
-        raise MeshError("bisection pass limit exceeded")
-
-    return Mesh(new_vertices, verts, region, ref, (pairs, labels), mesh.edges)
+    raise MeshError("bisection pass limit exceeded")  # pragma: no cover - at most three passes
 
 
 def _structured_square(n, lo, hi):
@@ -582,6 +620,11 @@ def read_mesh_text(path) -> Mesh:
     it = iter(tokens)
     try:
         nv, nt, nb = int(next(it)), int(next(it)), int(next(it))
+        # the counts size the arrays, so they must fit the records present
+        if min(nv, nt, nb) < 0:
+            raise MeshError("negative record count in the mesh header")
+        if 3 + 2 * nv + 4 * nt + 3 * nb > len(tokens):
+            raise MeshError("truncated mesh file")
         vertices = np.array(
             [[float(next(it)), float(next(it))] for _ in range(nv)]
         )

@@ -65,6 +65,7 @@ from .basis import (
     FLUX_FAMILIES,
     GRADIENT_FAMILIES,
     _accumulate_vertex_vectors,
+    _blocks,
     _side_table,
     _weighted_gram,
 )
@@ -223,9 +224,11 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
     ne = mesh.n_edges
     gram = np.zeros((ne, 2, ndof, ndof))
     table = _side_table(mesh, family)
+    W = A.inv if family in FLUX_FAMILIES else A.tensor
     for side, (eids, tri, C) in enumerate(table):
-        W = A.inv[tri] if family in FLUX_FAMILIES else A.tensor[tri]
-        gram[eids, side] = _weighted_gram(W, C, mesh.tri_area[tri])
+        for b in _blocks(len(eids)):
+            t = tri[b]
+            gram[eids[b], side] = _weighted_gram(W[t], C[b], mesh.tri_area[t])
     has_plus = mesh.edge_tris[:, 1] >= 0
 
     # P = adj(Gt) Gm / det(Gt) by Cramer's rule, reading only the upper

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import _accumulate_vertex_vectors, _side_table
+from .basis import _accumulate_vertex_vectors, _blocks, _side_table
 from .mesh import Mesh
 
 __all__ = [
@@ -225,7 +225,7 @@ def _neumann_values(mesh: Mesh, data: ProblemData) -> np.ndarray:
     if idx.size:
         if data.g_N is None:
             raise SolverError("problem has Neumann edges but no g_N data")
-        mid = mesh.edge_midpoints()[idx]
+        mid = mesh.edge_midpoints(idx)
         g[idx] = _eval(data.g_N, mid)
     return g
 
@@ -255,7 +255,9 @@ def _solve_checked(mat, rhs, what):
 
 def _assemble(local, dofs, n):
     """Sparse (n, n) matrix from element blocks ``local`` (nt, 3, 3) on the
-    element dof map ``dofs`` (nt, 3)."""
+    element dof map ``dofs`` (nt, 3).  The triplets are built in the 32-bit
+    index type that the sparse matrix stores anyway."""
+    dofs = dofs.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -263,27 +265,38 @@ def _assemble(local, dofs, n):
 
 def _p1_stiffness(mesh: Mesh, A: CoefficientField) -> np.ndarray:
     """(nt, 3, 3) element blocks ``int_K A grad lambda_m . grad lambda_l``."""
-    g = mesh.grad_lambda  # (nt, 3, 2)
-    Ag = np.einsum("tij,tlj->tli", A.tensor, g)
-    return np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[:, None, None]
+    out = np.empty((mesh.n_triangles, 3, 3))
+    for b in _blocks(mesh.n_triangles):
+        g = mesh.grad_lambda[b]  # (m, 3, 2)
+        Ag = np.einsum("tij,tlj->tli", A.tensor[b], g)
+        out[b] = np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[b, None, None]
+    return out
 
 
-def _solve_dirichlet(K, b, u, fixed, what):
+def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what):
     """Solve ``K u = b`` for the dofs not in ``fixed``, whose values ``u``
-    already holds; returns ``u``."""
+    already holds; returns ``u``.  ``K`` is assembled from ``scale`` times
+    the P1 stiffness blocks on the element dof map ``dofs``.
+
+    Only the free rows of ``K`` outlive the assembly and only the free block
+    reaches the factorization, so neither the full matrix nor its triplets
+    are alive while the sparse factors are.
+    """
     free = np.setdiff1d(np.arange(len(b)), fixed)
     if free.size:
-        Kff = K[free][:, free].tocsc()
-        rhs = b[free] - K[free][:, fixed] @ u[fixed]
-        u[free] = _solve_checked(Kff, rhs, what)
+        blocks = _p1_stiffness(mesh, A)
+        blocks *= scale
+        K = _assemble(blocks, dofs, len(b))[free]
+        del blocks
+        rhs = b[free] - K[:, fixed] @ u[fixed]
+        K = K[:, free].tocsc()
+        u[free] = _solve_checked(K, rhs, what)
     return u
 
 
 def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
     """P1 Galerkin solution with Dirichlet interpolation at vertices."""
     nv = mesh.n_vertices
-    K = _assemble(_p1_stiffness(mesh, A), mesh.triangles, nv)
-
     b = np.zeros(nv)
     fm = _rhs_midpoint_rule(mesh, data.f)  # (nt, 3)
     w = mesh.tri_area / 3.0
@@ -301,7 +314,7 @@ def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> Disc
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
     u[fixed] = _eval(data.g_D, mesh.vertices[fixed])
-    u = _solve_dirichlet(K, b, u, fixed, "conforming")
+    u = _solve_stiffness(mesh, A, mesh.triangles, 1.0, b, u, fixed, "conforming")
     return DiscreteSolution(method="conforming", mesh=mesh, u_vertex=u)
 
 
@@ -310,9 +323,6 @@ def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads
     (nt, 3): the flux ``g_N h`` is taken out on Neumann edges and ``g_D``
     fixed at the Dirichlet edge midpoints."""
     ne = mesh.n_edges
-    # grad of the CR basis on edge l is -2 grad lambda_l
-    K = _assemble(4.0 * _p1_stiffness(mesh, A), mesh.tri_edges, ne)
-
     b = np.zeros(ne)
     for l in range(3):
         np.add.at(b, mesh.tri_edges[:, l], loads[:, l])
@@ -323,8 +333,9 @@ def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads
 
     u = np.zeros(ne)
     fixed = mesh.dirichlet_edges
-    u[fixed] = _eval(data.g_D, mesh.edge_midpoints()[fixed])
-    return _solve_dirichlet(K, b, u, fixed, what)
+    u[fixed] = _eval(data.g_D, mesh.edge_midpoints(fixed))
+    # grad of the CR basis on edge l is -2 grad lambda_l
+    return _solve_stiffness(mesh, A, mesh.tri_edges, 4.0, b, u, fixed, what)
 
 
 def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import afemrec.driver
 from afemrec.driver import AfemConfig, count_dofs, dorfler_mark, run_afem
 from afemrec.mesh import initial_kellogg_mesh, unit_square_mesh
 from afemrec.problems import manufactured_affine
@@ -127,6 +130,37 @@ def test_kellogg_run_invariants(kellogg):
     assert np.all(np.diff(h.column("dofs")) > 0)
     for name in ("eta", "true_error", "effectivity", "h_f"):
         assert np.all(np.isfinite(h.column(name)))
+
+
+def test_run_holds_one_iteration_at_a_time(kellogg, monkeypatch):
+    # when a solve starts, the previous iteration's mesh, coefficient,
+    # solution and indicators are already gone (no garbage collection needed)
+    last = []
+    solves = []
+    solve = afemrec.driver._SOLVERS["conforming"]
+    estimate = afemrec.driver.indicators
+
+    def tracked_solve(mesh, A, data):
+        assert [ref() for ref in last] == [None] * len(last)
+        sol = solve(mesh, A, data)
+        last[:] = [weakref.ref(mesh), weakref.ref(A), weakref.ref(sol)]
+        solves.append(mesh.n_triangles)
+        return sol
+
+    def tracked_indicators(*args, **kwargs):
+        ind = estimate(*args, **kwargs)
+        last.append(weakref.ref(ind))
+        return ind
+
+    monkeypatch.setitem(afemrec.driver._SOLVERS, "conforming", tracked_solve)
+    monkeypatch.setattr(afemrec.driver, "indicators", tracked_indicators)
+    h = run_afem(AfemConfig(problem=kellogg, initial_n=4, max_dof=600))
+    assert len(h.records) >= 3
+    assert solves == [r.n_triangles for r in h.records]
+    # the history still holds the final mesh and its indicators
+    assert last[0]() is h.final_mesh
+    assert h.final_indicators.shape == (h.final_mesh.n_triangles,)
+    assert h.final_indicators.max() == h.records[-1].max_indicator
 
 
 def test_uniform_run(kellogg):

@@ -314,13 +314,22 @@ def _graded_kellogg_mesh():
 
 
 def test_touches_point_matches_per_vertex_loop():
-    # the vectorized vertex/barycentric test against a per-vertex loop, on a
-    # mesh graded towards the origin and on its copy scaled by 2^-50
+    # the candidate-limited vertex/barycentric test against a per-vertex
+    # loop over every element, on a mesh graded towards the origin and on
+    # its copy scaled by 2^-50: at the origin (a vertex), inside an element,
+    # on an edge and just outside an element within the tolerance
     graded = _graded_kellogg_mesh()
     for s in (1.0, 2.0**-50):
         mesh = _scaled(graded, s)
         coords = mesh.tri_coords()
-        for p in ((0.0, 0.0), (0.3 * s, -0.7 * s), tuple(coords[5].mean(axis=0))):
+        edge = 0.5 * (coords[7, 0] + coords[7, 1])  # on an edge, not a vertex
+        # just outside element 9, across its edge opposite vertex 0, by 1e-13
+        # in barycentric terms: only the tolerance takes element 9 in
+        g = mesh.grad_lambda[9, 0]
+        near = 0.5 * (coords[9, 1] + coords[9, 2]) - 1e-13 * g / (g @ g)
+        points = ((0.0, 0.0), (0.3 * s, -0.7 * s), tuple(coords[5].mean(axis=0)),
+                  tuple(edge), tuple(near))
+        for p in points:
             lam = np.empty((mesh.n_triangles, 3))
             vertex = np.zeros(mesh.n_triangles, dtype=bool)
             for l in range(3):
@@ -355,6 +364,59 @@ def test_true_energy_error_is_scale_invariant(kellogg, solver):
         )
     scaled_back = errs[1] / s ** kellogg.params["gamma"]
     assert scaled_back == pytest.approx(errs[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "solver", [solve_conforming, solve_nonconforming, solve_mixed], ids=lambda f: f.__name__
+)
+def test_blocked_true_error_keeps_its_bits(kellogg, solver, monkeypatch):
+    # the regular elements are integrated a block at a time into one
+    # per-element array that is summed once, so any block size gives the
+    # unblocked value bit for bit
+    import afemrec.basis
+
+    mesh = _graded_kellogg_mesh()
+    A = kellogg.coefficient(mesh)
+    sol = solver(mesh, A, kellogg.data)
+    args = (kellogg.data.exact_grad, kellogg.data.singular_points)
+    monkeypatch.setattr(afemrec.basis, "BLOCK", 10**9)
+    whole = true_energy_error(mesh, A, sol, *args)
+    for size in (2, 3, 16, 61):
+        monkeypatch.setattr(afemrec.basis, "BLOCK", size)
+        assert true_energy_error(mesh, A, sol, *args) == whole
+
+
+@pytest.mark.parametrize(
+    "method,family",
+    [("conforming", "rt"), ("conforming", "bdm"), ("mixed", "nd"),
+     ("nonconforming", "ne"), ("nonconforming", "bdm")],
+)
+def test_blocked_kernels_keep_their_bits(kellogg, method, family, monkeypatch):
+    # the stiffness blocks, side tables, Gram blocks, accumulations, element
+    # norms and oscillation run a block of rows at a time; blocks of a few
+    # rows give the bits of one block holding every row
+    import afemrec.basis
+
+    solver = {"conforming": solve_conforming, "mixed": solve_mixed,
+              "nonconforming": solve_nonconforming}[method]
+    mesh = _graded_kellogg_mesh()
+    A = CoefficientField.isotropic(mesh, lambda x, y: 1.0 + x**2 + 3.0 * y**2)
+
+    def chain():
+        sol = solver(mesh, A, kellogg.data)
+        fld = recover(mesh, A, edge_traces(mesh, A, sol, kellogg.data), method, family)
+        ind = indicators(mesh, A, fld, method)
+        h_fk = oscillation(mesh, A, lambda x, y: np.exp(x) * np.cos(2.0 * y))[1]
+        arrays = [sol.u_vertex, sol.u_edge, sol.flux_edge, sol.u_tri, sol.flux_vertex,
+                  fld.weights.gram, fld.weights.response, fld.coef,
+                  fld.correction_vertex_vectors(), ind.eta_elements, ind.eta_edges, h_fk]
+        return [a.tobytes() for a in arrays if a is not None]
+
+    monkeypatch.setattr(afemrec.basis, "BLOCK", 10**9)
+    whole = chain()
+    for size in (2, 3, 16):
+        monkeypatch.setattr(afemrec.basis, "BLOCK", size)
+        assert chain() == whole
 
 
 _REF_BARY = np.array(

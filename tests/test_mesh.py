@@ -320,6 +320,11 @@ def test_mesh_text_rejects_malformed(tmp_path):
         "3 1 4\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 0 D\n1 2 D\n2 0 D\n",
         "4 2 5\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n"
         "0 1 D\n1 2 D\n2 3 D\n3 0 D\n0 2 D\n",
+        # counts are checked against the records before any array is sized:
+        # one far beyond memory, one that fits but exceeds the records
+        "3 10000000000000 3\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n",
+        "3 1 1000000\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n",
+        "3 -1 3\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n",
     ):
         path.write_text(text)
         with pytest.raises(MeshError):
