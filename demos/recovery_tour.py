@@ -63,8 +63,8 @@ e = mesh.vertices[mesh.edges[ie, 1]]
 worst = 0.0
 for t in (0.25, 0.5, 0.75):
     pts = (1 - t) * s + t * e
-    vm = field.eval_vertex_field(C, mesh.edge_tris[ie, 0], pts)
-    vp = field.eval_vertex_field(C, mesh.edge_tris[ie, 1], pts)
+    vm = mesh.eval_vertex_field(C, mesh.edge_tris[ie, 0], pts)
+    vp = mesh.eval_vertex_field(C, mesh.edge_tris[ie, 1], pts)
     worst = max(worst, np.abs(((vm - vp) * mesh.edge_normal[ie]).sum(axis=1)).max())
 print(f"\nmax normal-trace jump of the recovered flux over all edges: {worst:.2e}")
 print("the recovered field is H(div)-conforming to machine precision")

@@ -169,34 +169,43 @@ class LocalBasisId:
             raise BasisError(f"{fam} basis carries no endpoint")
 
 
-def _vertex_vectors(family, x, k, s, e, h, area, grad_lambda, sign=1.0):
+def _side_ends(k, side):
+    """Local vertex indices ``(s, e)`` of the ends of the edge in local slot
+    ``k`` on side ``side`` of it: counterclockwise on ``K-`` (side 0), as in
+    the conventions above, and the other way round on ``K+`` (side 1)."""
+    return (k + 1 + side) % 3, (k + 2 - side) % 3
+
+
+def _vertex_vectors(family, x, k, side, h, area, grad_lambda):
     """Batched vertex-coefficient form of the edge bases of ``m`` triangles.
 
     Each triangle contributes the basis of the edge opposite its local vertex
-    ``k`` oriented from local vertex ``s`` to ``e`` (``(k+1) % 3`` and
-    ``(k+2) % 3`` give the conventions above; swapping them gives the
-    neighbour's view of a shared edge).  ``x`` (m, 3, 2) holds the vertices,
-    ``grad_lambda`` (m, 3, 2) the barycentric gradients, ``h`` and ``area``
-    (m,) the edge length and triangle area; the scalar ``sign`` multiplies
-    the field.  Returns ``C`` of shape (m, ndof, 3, 2) with the
-    dof-``d`` field ``sum_v lambda_v C[:, d, v]``; ``ndof`` is 1 for rt/ne
-    and 2 (endpoint s, then e) for bdm/nd.
+    ``k``, seen from side ``side`` of that edge (0 for ``K-``, 1 for ``K+``):
+    it runs between the ends of :func:`_side_ends`, and a flux dof, which
+    measures the ``K-`` outward normal, changes sign on ``K+``.  ``x``
+    (m, 3, 2) holds the vertices, ``grad_lambda`` (m, 3, 2) the barycentric
+    gradients, ``h`` and ``area`` (m,) the edge length and triangle area.
+    Returns ``C`` of shape (m, ndof, 3, 2) with the dof-``d`` field
+    ``sum_v lambda_v C[:, d, v]``; ``ndof`` is 1 for rt/ne and 2 (endpoint
+    s, then e) for bdm/nd.
     """
     m = len(k)
     rows = np.arange(m)
+    s, e = _side_ends(k, side)
     ndof = 1 if family in ("rt", "ne") else 2
     C = np.zeros((m, ndof, 3, 2))
     if family in FLUX_FAMILIES:
         # (x - x_k) / H_k restricted to the two edge vertices
         H = 2.0 * area / h
+        sign = -1.0 if side else 1.0
         cs = sign * (x[rows, s] - x[rows, k]) / H[:, None]
         ce = sign * (x[rows, e] - x[rows, k]) / H[:, None]
     else:
         # ne = h_k (lambda_s grad lambda_e - lambda_e grad lambda_s); nd keeps
         # the two terms apart, both with a plus sign
-        sh = sign * h[:, None]
-        cs = sh * grad_lambda[rows, e]
-        ce = (-sh if family == "ne" else sh) * grad_lambda[rows, s]
+        hk = h[:, None]
+        cs = hk * grad_lambda[rows, e]
+        ce = (-hk if family == "ne" else hk) * grad_lambda[rows, s]
     C[rows, 0, s] = cs
     C[rows, ndof - 1, e] = ce
     return C
@@ -224,8 +233,7 @@ def _side_table(mesh, family):
 
     Returns one ``(eids, tri, C)`` per side (``K-``, then ``K+``) for the
     edges that have that side: ``tri`` the side elements and ``C``
-    (m, ndof, 3, 2) the vertex-vector form of the dofs there.  Flux dofs
-    measure the ``n_F`` normal trace, so they carry ``sgn = -1`` on ``K+``.
+    (m, ndof, 3, 2) the vertex-vector form of the dofs there.
     The element data is gathered a block of edges at a time.
     """
     ndof = 1 if family in ("rt", "ne") else 2
@@ -240,12 +248,10 @@ def _side_table(mesh, family):
                 family,
                 mesh.vertices[mesh.triangles[t]],
                 mesh.edge_slot[e, side],
-                mesh.edge_loc_s[e, side],
-                mesh.edge_loc_e[e, side],
+                side,
                 mesh.edge_length[e],
                 mesh.tri_area[t],
                 mesh.grad_lambda[t],
-                sign=-1.0 if side == 1 and family in FLUX_FAMILIES else 1.0,
             )
         table.append((eids, tri, C))
     return tuple(table)
@@ -279,8 +285,7 @@ def basis_vertex_vectors(frame: LocalTriangleFrame, basis: LocalBasisId) -> np.n
         basis.family,
         frame.x[None],
         np.array([k]),
-        np.array([frame.edge_start(k)]),
-        np.array([frame.edge_end(k)]),
+        0,
         frame.edge_length[[k]],
         np.array([frame.area]),
         frame.grad_lambda[None],

@@ -25,7 +25,7 @@ import numpy as np
 
 from .driver import FAMILY_CHOICES, AfemConfig, run_afem
 from .io import write_history_csv, write_mesh_svg
-from .mesh import write_mesh_text
+from .mesh import MeshError, write_mesh_text
 from .problems import PROBLEM_IDS, ProblemError, get_problem
 from .recovery import RecoveryError
 from .solvers import SolverError
@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     try:
         problem = get_problem(config.afem.problem)
         history = run_afem(dataclasses.replace(config.afem, problem=problem))
+    except MeshError as exc:  # the problem cannot mesh --initial-n
+        print(f"afemrec: error: --initial-n {config.afem.initial_n}: {exc}", file=sys.stderr)
+        return 2
     except (SolverError, RecoveryError, ProblemError, np.linalg.LinAlgError) as exc:
         print(f"afemrec: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -5,9 +5,10 @@ test: a new edge runs counterclockwise around its lower-id triangle, and an
 edge that survives a refinement inherits its ``(s_F, e_F)`` pair verbatim.
 ``K-`` (first adjacency slot) is the triangle around which ``s_F -> e_F``
 runs counterclockwise; the other, if any, is ``K+``.  As triangles are
-counterclockwise, the edge's local slot fixes the local vertex indices:
-``s_F, e_F`` sit at ``(slot + 1) % 3, (slot + 2) % 3`` of ``K-`` and the
-other way round on ``K+``.  The tangent is ``t_F = (x_e - x_s) / h_F`` and
+counterclockwise, the edge's local slot and side fix the local vertex
+indices, so the mesh stores neither: ``s_F, e_F`` sit at
+``(slot + 1) % 3, (slot + 2) % 3`` of ``K-`` and the other way round on
+``K+``.  The tangent is ``t_F = (x_e - x_s) / h_F`` and
 the normal ``n_F = (t_y, -t_x)`` is the outward normal of ``K-``; both are
 functions of the pair alone, so they never flip, nor change a bit, under
 refinement of other elements.
@@ -88,6 +89,10 @@ def _element_geometry(vertices, triangles):
     return 0.5 * area2, diam, grad_lambda
 
 
+def _encode(a, b, base):
+    return np.minimum(a, b) * np.int64(base) + np.maximum(a, b)
+
+
 def _unique_edges(triangles, nv):
     """``(ukeys, inverse, inc)``: the sorted keys of the distinct edges
     (ne,), the edge of each incidence ``t * 3 + slot`` (nt * 3,), and the
@@ -144,13 +149,13 @@ class Mesh:
     edges : (ne, 2) int endpoint ids ``(s_F, e_F)``
     edge_label : (ne,) int, one of INTERIOR / DIRICHLET / NEUMANN
     edge_tris : (ne, 2) int ``[K-, K+]`` with ``K+ = -1`` on the boundary
-    edge_slot : (ne, 2) int local slot of the edge inside ``K-`` / ``K+``
-    edge_loc_s, edge_loc_e : (ne, 2) int local vertex index of ``s_F`` /
-        ``e_F`` inside ``K-`` / ``K+`` (-1 where there is no ``K+``)
+    edge_slot : (ne, 2) int local slot ``k`` of the edge inside ``K-`` /
+        ``K+`` (-1 where there is no ``K+``); ``s_F, e_F`` are the local
+        vertices ``(k + 1, k + 2) % 3`` of ``K-`` and ``(k + 2, k + 1) % 3``
+        of ``K+``
     edge_normal, edge_tangent : (ne, 2) float
     edge_length : (ne,) float
     tri_edges : (nt, 3) int edge id opposite each local vertex
-    tri_edge_sign : (nt, 3) int, +1 where the triangle is ``K-``
     tri_area, tri_diam : (nt,) float
     grad_lambda : (nt, 3, 2) float gradients of the barycentric coordinates
     vertex_label : (nv,) int vertex classification (Dirichlet wins at corners)
@@ -220,9 +225,6 @@ class Mesh:
         has = inc >= 0
         self.edge_tris = np.where(has, inc // 3, -1)
         self.edge_slot = np.where(has, inc % 3, -1)
-        # s, e follow the edge slot counterclockwise on K-, clockwise on K+
-        self.edge_loc_s = np.where(has, (self.edge_slot + [1, 2]) % 3, -1)
-        self.edge_loc_e = np.where(has, (self.edge_slot + [2, 1]) % 3, -1)
 
         self.edges = np.stack([s_ids, e_ids], axis=1)
         self.edge_label = label
@@ -232,11 +234,6 @@ class Mesh:
         tangent /= self.edge_length[:, None]
         self.edge_tangent = tangent
         self.edge_normal = -_rot90(tangent)  # (t_y, -t_x)
-
-        sign = np.where(
-            self.edge_tris[self.tri_edges, 0] == np.arange(nt)[:, None], 1, -1
-        )
-        self.tri_edge_sign = sign.astype(np.int64, copy=False)
 
         vlabel = np.zeros(nv, dtype=np.int64)
         neu = self.edges[label == NEUMANN]
@@ -387,10 +384,6 @@ def edge_patch(mesh: Mesh, F: int) -> EdgePatch:
     return EdgePatch(F, elements, boundary)
 
 
-def _encode(a, b, base):
-    return np.minimum(a, b) * np.int64(base) + np.maximum(a, b)
-
-
 def _prepare(vertices, triangles):
     """Input step shared by :func:`build_mesh` and :func:`read_mesh_text`.
 
@@ -450,7 +443,7 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     orientations of surviving edges, and coefficient regions are inherited.
     Returns ``mesh`` itself when nothing is marked.
     """
-    marked = np.unique(np.asarray(marked_elements, dtype=np.int64))
+    marked = np.asarray(marked_elements, dtype=np.int64)
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
@@ -459,7 +452,8 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     nt, ne, nv = mesh.n_triangles, mesh.n_edges, mesh.n_vertices
     ref_edge_ids = mesh.tri_edges[np.arange(nt), mesh.refinement_edge]
 
-    cut = np.zeros(ne, dtype=bool)
+    # edge id -1 names an edge that bisection creates: never cut
+    cut = np.zeros(ne + 1, dtype=bool)
     cut[ref_edge_ids[marked]] = True
     for _ in range(nt + 1):
         need = cut[mesh.tri_edges].any(axis=1) & ~cut[ref_edge_ids]
@@ -470,67 +464,58 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
         raise MeshError("refinement closure did not terminate")
 
     cut_ids = np.flatnonzero(cut)
-    mid_of_cut = nv + np.arange(len(cut_ids), dtype=np.int64)
+    mid = np.full(ne + 1, -1, dtype=np.int64)
+    mid[cut_ids] = nv + np.arange(len(cut_ids))
     new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints(cut_ids)])
-    nv_new = len(new_vertices)
 
     # surviving edges keep their (s, e) pair and label, both halves of a cut
     # boundary edge take its label, and Mesh ignores the cut edges' records
     bnd = np.flatnonzero(mesh.edge_label != INTERIOR)
     bcut = bnd[cut[bnd]]
-    mid_b = np.tile(mid_of_cut[np.searchsorted(cut_ids, bcut)], 2)
-    halves = np.column_stack([mesh.edges[bcut].T.ravel(), mid_b])
+    halves = np.column_stack([mesh.edges[bcut].T.ravel(), np.tile(mid[bcut], 2)])
     pairs = np.concatenate([mesh.edges[bnd], halves])
     labels = np.concatenate([mesh.edge_label[bnd], np.tile(mesh.edge_label[bcut], 2)])
 
     # the passes' temporaries are gone before the new mesh is built
-    triangles, region, ref = _bisect(mesh, cut_ids, mid_of_cut, nv_new)
+    triangles, region, ref = _bisect(mesh, cut, mid)
     return Mesh(new_vertices, triangles, region, ref, (pairs, labels), mesh.edges)
 
 
-def _bisect(mesh: Mesh, cut_ids, mid_of_cut, nv_new):
+def _bisect(mesh: Mesh, cut, mid):
     """``(triangles, region, refinement_edge)`` after bisecting every
-    triangle of ``mesh`` across its refinement edge while that edge is one
-    of the ``cut_ids``, whose midpoints have the vertex ids ``mid_of_cut``;
-    at most three passes deep."""
+    triangle of ``mesh`` across its refinement edge while that edge is
+    ``cut`` (indexed by edge id), at the vertex ``mid`` of that edge; at
+    most three passes deep.
+
+    Each triangle carries the ids of its edges in ``mesh`` (-1 for the
+    edges bisection creates).  ``(p, b, c)`` with refinement edge ``b-c``
+    becomes ``(p, b, m), (p, m, c)`` in place; their refinement edges
+    ``p-b`` and ``c-p`` are edges of the parent.
+    """
     verts = mesh.triangles
     region = mesh.tri_region
     ref = mesh.refinement_edge
+    eids = mesh.tri_edges
     for _ in range(4):
         rows = np.arange(len(verts))
-        i1 = (ref + 1) % 3
-        i2 = (ref + 2) % 3
-        b = verts[rows, i1]
-        c = verts[rows, i2]
-        pos, split = _lookup(mesh.edges[cut_ids], _encode(b, c, nv_new), nv_new)
+        split = cut[eids[rows, ref]]
         if not split.any():
             return verts, region, ref
-        m = mid_of_cut[pos]
-        p = verts[rows, ref]
-
-        counts = 1 + split.astype(np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        out_n = int(counts.sum())
-        new_verts = np.empty((out_n, 3), dtype=np.int64)
-        new_region = np.empty(out_n, dtype=np.int64)
-        new_ref = np.empty(out_n, dtype=np.int64)
-
-        keep = ~split
-        new_verts[starts[keep]] = verts[keep]
-        new_region[starts[keep]] = region[keep]
-        new_ref[starts[keep]] = ref[keep]
-
         sp = np.flatnonzero(split)
-        child1 = np.stack([p[sp], b[sp], m[sp]], axis=1)
-        child2 = np.stack([p[sp], m[sp], c[sp]], axis=1)
-        new_verts[starts[sp]] = child1
-        new_verts[starts[sp] + 1] = child2
-        new_region[starts[sp]] = region[sp]
-        new_region[starts[sp] + 1] = region[sp]
-        new_ref[starts[sp]] = 2
-        new_ref[starts[sp] + 1] = 1
+        k = ref[sp]
+        p, b, c = (verts[sp, (k + j) % 3] for j in range(3))
+        m = mid[eids[sp, k]]
+        e_pb, e_cp = eids[sp, (k + 2) % 3], eids[sp, (k + 1) % 3]
 
-        verts, region, ref = new_verts, new_region, new_ref
+        verts, region, ref, eids = (
+            np.repeat(a, 1 + split, axis=0) for a in (verts, region, ref, eids)
+        )
+        first = sp + np.arange(len(sp))  # the second child follows the first
+        verts[first] = np.stack([p, b, m], axis=1)
+        verts[first + 1] = np.stack([p, m, c], axis=1)
+        ref[first], ref[first + 1] = 2, 1
+        eids[first] = eids[first + 1] = -1
+        eids[first, 2], eids[first + 1, 1] = e_pb, e_cp
     raise MeshError("bisection pass limit exceeded")  # pragma: no cover - at most three passes
 
 

@@ -204,7 +204,6 @@ class PatchWeights:
 
     family: str
     gram: np.ndarray
-    has_plus: np.ndarray
     response: np.ndarray
     side_table: tuple = field(repr=False)
 
@@ -229,7 +228,6 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
         for b in _blocks(len(eids)):
             t = tri[b]
             gram[eids[b], side] = _weighted_gram(W[t], C[b], mesh.tri_area[t])
-    has_plus = mesh.edge_tris[:, 1] >= 0
 
     # P = adj(Gt) Gm / det(Gt) by Cramer's rule, reading only the upper
     # triangles of the symmetric Gram blocks
@@ -248,9 +246,7 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
         raise RecoveryError("singular patch Gram system")
     response = np.full((ne, ndof, ndof), np.nan)
     response[i] = (adj[:, :, :, None] * Gm[:, None]).sum(axis=2) / det[:, None, None]
-    return PatchWeights(
-        family=family, gram=gram, has_plus=has_plus, response=response, side_table=table
-    )
+    return PatchWeights(family=family, gram=gram, response=response, side_table=table)
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +288,6 @@ class RecoveredField:
         coef = self.coef.reshape(self.mesh.n_edges, 1, -1)
         return self._accumulate(np.repeat(coef, 2, axis=1))
 
-    def eval_vertex_field(self, C, tris, points) -> np.ndarray:
-        """Evaluate a vertex-vector field on triangles ``tris`` at physical
-        ``points`` (m, 2)."""
-        return self.mesh.eval_vertex_field(C, tris, points)
-
 
 def recover(
     mesh: Mesh,
@@ -326,7 +317,8 @@ def recover(
     kind = "flux" if family in FLUX_FAMILIES else "gradient"
     sides, data = _side_traces(traces, kind)
     numerical = _dofs(family, sides)  # (ne, 2, ndof)
-    numerical[~w.has_plus, 1] = 0.0
+    no_plus = mesh.edge_tris[:, 1] < 0
+    numerical[no_plus, 1] = 0.0
     t_minus, t_plus = numerical[:, 0], numerical[:, 1]
 
     P = w.response
@@ -338,7 +330,7 @@ def recover(
         np.where((lab == _DATA_LABEL[kind])[:, None], _dofs(family, data[:, None]), t_minus),
     )
     correction = coef[:, None] - numerical
-    correction[~w.has_plus, 1] = 0.0
+    correction[no_plus, 1] = 0.0
     if P.shape[1] == 1:  # one-dof families keep flat arrays
         coef, numerical, correction = coef[:, 0], numerical[..., 0], correction[..., 0]
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import _accumulate_vertex_vectors, _blocks, _side_table
+from .basis import _accumulate_vertex_vectors, _blocks, _side_ends, _side_table
 from .mesh import Mesh
 
 __all__ = [
@@ -379,7 +379,9 @@ def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteS
 def mixed_divergence(mesh: Mesh, coef: np.ndarray) -> np.ndarray:
     """(nt,) elementwise divergence of an RT0 field."""
     h = mesh.edge_length[mesh.tri_edges]
-    return (coef[mesh.tri_edges] * mesh.tri_edge_sign * h).sum(axis=1) / mesh.tri_area
+    # the dofs measure the outward normal of K-, so they change sign on K+
+    is_minus = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.n_triangles)[:, None]
+    return (coef[mesh.tri_edges] * np.where(is_minus, 1, -1) * h).sum(axis=1) / mesh.tri_area
 
 
 def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:
@@ -395,8 +397,8 @@ def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:
     for side in (0, 1):
         F = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
         t = mesh.edge_tris[F, side]
-        for j, loc in enumerate((mesh.edge_loc_s, mesh.edge_loc_e)[:k]):
-            vals = field(t, loc[F, side])
+        for j, v in enumerate(_side_ends(mesh.edge_slot[F, side], side)[:k]):
+            vals = field(t, v)
             out[F, side, j] = (vals * direction[F]).sum(axis=1)
     return out
 

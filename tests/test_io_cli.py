@@ -165,6 +165,19 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--initial-n", "3"], ["--problem", "affine", "--initial-n", "0"]],
+)
+def test_main_bad_initial_mesh_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("afemrec: error: --initial-n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_determinism_small(tmp_path):
     args = [
         "--problem",

@@ -6,6 +6,8 @@ triangle, and an edge that survives a refinement keeps ``(s, e)`` and its
 normal bit for bit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,24 +37,25 @@ def _edge_index(mesh):
 
 def check_orientation(mesh):
     s, e = mesh.edges.T
-    for side in (0, 1):
+    # s -> e runs counterclockwise on K- and clockwise on K+: with k the
+    # edge's local slot, s, e are local vertices (k + 1, k + 2) % 3 of K-
+    # and (k + 2, k + 1) % 3 of K+
+    for side, (ds, de) in enumerate([(1, 2), (2, 1)]):
         has = mesh.edge_tris[:, side] >= 0
         F = np.flatnonzero(has)
         tv = mesh.triangles[mesh.edge_tris[F, side]]
         rows = np.arange(len(F))
-        assert np.array_equal(tv[rows, mesh.edge_loc_s[F, side]], s[F])
-        assert np.array_equal(tv[rows, mesh.edge_loc_e[F, side]], e[F])
-        assert np.array_equal(mesh.tri_edges[mesh.edge_tris[F, side], mesh.edge_slot[F, side]], F)
-        assert np.all(mesh.edge_loc_s[~has, side] == -1)
-        assert np.all(mesh.edge_loc_e[~has, side] == -1)
-    # s -> e runs counterclockwise on K- and clockwise on K+
-    assert np.array_equal(mesh.edge_loc_s[:, 0], (mesh.edge_slot[:, 0] + 1) % 3)
+        k = mesh.edge_slot[F, side]
+        assert np.array_equal(tv[rows, (k + ds) % 3], s[F])
+        assert np.array_equal(tv[rows, (k + de) % 3], e[F])
+        assert np.array_equal(mesh.tri_edges[mesh.edge_tris[F, side], k], F)
+        assert np.all(mesh.edge_slot[~has, side] == -1)
     plus = mesh.edge_tris[:, 1] >= 0
-    assert np.array_equal(mesh.edge_loc_s[plus, 1], (mesh.edge_slot[plus, 1] + 2) % 3)
-    # tri_edge_sign is +1 exactly where the triangle is K-
+    # a triangle is K- of exactly the edges whose s -> e runs counterclockwise
+    # around it
     is_minus = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.n_triangles)[:, None]
-    assert np.array_equal(mesh.tri_edge_sign == 1, is_minus)
-    assert np.array_equal(mesh.tri_edge_sign == -1, ~is_minus)
+    ccw = mesh.triangles[:, [1, 2, 0]] == mesh.edges[mesh.tri_edges, 0]
+    assert np.array_equal(ccw, is_minus)
     # interior edges have two distinct sides, boundary edges one
     interior = mesh.edge_label == INTERIOR
     assert np.array_equal(plus, interior)
@@ -119,3 +122,32 @@ def test_orientation_contract_under_random_nvb(base, data):
                 assert child.edge_normal[F].tobytes() == mesh.edge_normal[P].tobytes()
                 assert child.edge_label[F] == mesh.edge_label[P]
         mesh = child
+
+
+# triangle count and SHA-256 of the topology after three rounds of seeded
+# random marks, recorded when bisection still looked each edge up by its
+# vertex pair
+PINNED_REFINE = {
+    "mixed-square": (
+        _mixed_square, 23, "7e6045b42ea15ce74c2a9d2e51725786606070a5ee41a7e7db42efeb904d7e95"
+    ),
+    "kellogg-4": (
+        lambda: initial_kellogg_mesh(4),
+        144,
+        "7bb1188ca7e49d40158fc4e8cebafa9f1a3e671826a28393e1bf7485c933563a",
+    ),
+}
+
+
+@pytest.mark.parametrize("base", sorted(PINNED_REFINE))
+def test_refine_bits_pinned_under_random_marks(base):
+    make, n_triangles, digest = PINNED_REFINE[base]
+    mesh = make()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        mesh = refine(mesh, rng.choice(mesh.n_triangles, mesh.n_triangles // 3, replace=False))
+    assert mesh.n_triangles == n_triangles
+    h = hashlib.sha256()
+    for a in (mesh.triangles, mesh.refinement_edge, mesh.tri_region, mesh.edges, mesh.edge_label):
+        h.update(a.astype(np.int64).tobytes())
+    assert h.hexdigest() == digest

@@ -398,8 +398,8 @@ def max_conformity_jump(field):
     worst, scale = 0.0, 1e-30
     for tpar in (0.25, 0.5, 0.75):
         pts = (1 - tpar) * s + tpar * e
-        vm = field.eval_vertex_field(C, mesh.edge_tris[ie, 0], pts)
-        vp = field.eval_vertex_field(C, mesh.edge_tris[ie, 1], pts)
+        vm = mesh.eval_vertex_field(C, mesh.edge_tris[ie, 0], pts)
+        vp = mesh.eval_vertex_field(C, mesh.edge_tris[ie, 1], pts)
         worst = max(worst, np.abs(((vm - vp) * d).sum(axis=1)).max())
         scale = max(scale, np.abs((vm * d).sum(axis=1)).max())
     return worst, scale

@@ -351,8 +351,11 @@ def _rt0_p0_residuals(mesh, A, data, sol):
     check also holds where ``f = 0``.
     """
     ne = mesh.n_edges
-    Ml = _rt0_mass_blocks(mesh, A, mesh.tri_edge_sign)
-    Bl = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]  # (nt, 3)
+    # +1 where the triangle is K- of its edge, whose normal is its outward one
+    is_minus = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.n_triangles)[:, None]
+    sign = np.where(is_minus, 1, -1)
+    Ml = _rt0_mass_blocks(mesh, A, sign)
+    Bl = sign * mesh.edge_length[mesh.tri_edges]  # (nt, 3)
     s_loc = sol.flux_edge[mesh.tri_edges]
     Ms, aMs, Btu, aBtu = (np.zeros(ne) for _ in range(4))
     np.add.at(Ms, mesh.tri_edges, np.einsum("tlm,tm->tl", Ml, s_loc))
@@ -434,9 +437,12 @@ def test_mixed_flux_vertex_vectors_carry_edge_fluxes():
     C = sol.flux_vertex_vectors()
     assert C is sol.flux_vertex_vectors()
     scale = np.abs(sol.flux_edge).max()
+    # with k the edge's local slot, its ends are the local vertices
+    # (k + 1, k + 2) % 3 of K- and (k + 2, k + 1) % 3 of K+
     for side in (0, 1):
         F = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
         t = mesh.edge_tris[F, side]
-        for loc in (mesh.edge_loc_s, mesh.edge_loc_e):
-            trace = (C[t, loc[F, side]] * mesh.edge_normal[F]).sum(axis=1)
+        k = mesh.edge_slot[F, side]
+        for loc in ((k + 1 + side) % 3, (k + 2 - side) % 3):
+            trace = (C[t, loc] * mesh.edge_normal[F]).sum(axis=1)
             assert np.abs(trace - sol.flux_edge[F]).max() <= 1e-12 * scale
