@@ -30,7 +30,9 @@ weighted Gram integrals: ``_side_table`` builds an edge family on both sides
 of every edge, ``_accumulate_vertex_vectors`` sums it into one field per
 element (the mixed flux and the recovered fields alike), ``_weighted_gram``
 gives the Gram blocks and ``_weighted_norm_sq`` the element indicators; the
-per-frame functions below are thin wrappers of them.
+per-frame functions below are thin wrappers of them.  ``ElementCarry`` holds
+the element blocks an adaptive run reuses for the triangles refinement kept,
+and ``_fill_rows`` computes the others.
 
 All functions here are pure and safe for unrestricted concurrent use.
 """
@@ -137,10 +139,10 @@ class LocalTriangleFrame:
         return np.array([lam0, lam1, 1.0 - lam0 - lam1])
 
     def edge_start(self, k: int) -> int:
-        return (k + 1) % 3
+        return _side_ends(k, 0)[0]
 
     def edge_end(self, k: int) -> int:
-        return (k + 2) % 3
+        return _side_ends(k, 0)[1]
 
 
 @dataclass(frozen=True)
@@ -176,38 +178,45 @@ def _side_ends(k, side):
     return (k + 1 + side) % 3, (k + 2 - side) % 3
 
 
-def _vertex_vectors(family, x, k, side, h, area, grad_lambda):
+def _vertex_vectors(family, k, side, h, area, point, grad):
     """Batched vertex-coefficient form of the edge bases of ``m`` triangles.
 
     Each triangle contributes the basis of the edge opposite its local vertex
     ``k``, seen from side ``side`` of that edge (0 for ``K-``, 1 for ``K+``):
     it runs between the ends of :func:`_side_ends`, and a flux dof, which
-    measures the ``K-`` outward normal, changes sign on ``K+``.  ``x``
-    (m, 3, 2) holds the vertices, ``grad_lambda`` (m, 3, 2) the barycentric
-    gradients, ``h`` and ``area`` (m,) the edge length and triangle area.
+    measures the ``K-`` outward normal, changes sign on ``K+``.  ``point(v)``
+    gives the (m, 2) coordinates of local vertex ``v`` (m,) of each triangle
+    and ``grad(v)`` its barycentric gradient; the flux families read only
+    the points, the gradient families only the gradients.  ``h`` and
+    ``area`` (m,) are the edge length and triangle area.
     Returns ``C`` of shape (m, ndof, 3, 2) with the dof-``d`` field
     ``sum_v lambda_v C[:, d, v]``; ``ndof`` is 1 for rt/ne and 2 (endpoint
     s, then e) for bdm/nd.
     """
     m = len(k)
-    rows = np.arange(m)
     s, e = _side_ends(k, side)
     ndof = 1 if family in ("rt", "ne") else 2
-    C = np.zeros((m, ndof, 3, 2))
     if family in FLUX_FAMILIES:
         # (x - x_k) / H_k restricted to the two edge vertices
         H = 2.0 * area / h
         sign = -1.0 if side else 1.0
-        cs = sign * (x[rows, s] - x[rows, k]) / H[:, None]
-        ce = sign * (x[rows, e] - x[rows, k]) / H[:, None]
+        xk = point(k)
+        cs = sign * (point(s) - xk) / H[:, None]
+        ce = sign * (point(e) - xk) / H[:, None]
     else:
         # ne = h_k (lambda_s grad lambda_e - lambda_e grad lambda_s); nd keeps
         # the two terms apart, both with a plus sign
         hk = h[:, None]
-        cs = hk * grad_lambda[rows, e]
-        ce = (-hk if family == "ne" else hk) * grad_lambda[rows, s]
-    C[rows, 0, s] = cs
-    C[rows, ndof - 1, e] = ce
+        cs = hk * grad(e)
+        ce = (-hk if family == "ne" else hk) * grad(s)
+    C = np.zeros((m, ndof, 3, 2))
+    # C[i, 0, s[i]] = cs[i] and C[i, ndof - 1, e[i]] = ce[i], each (x, y)
+    # pair moved as one complex item, which numpy scatters much faster
+    # than a row of two floats
+    pairs = C.view(np.complex128).reshape(-1)
+    first = np.arange(m) * (3 * ndof)
+    pairs[first + s] = cs.view(np.complex128)[:, 0]
+    pairs[first + 3 * (ndof - 1) + e] = ce.view(np.complex128)[:, 0]
     return C
 
 
@@ -220,12 +229,84 @@ def _blocks(n):
     """Slices covering ``range(n)`` in order, each of at least ``BLOCK``
     rows (one slice if ``n`` is smaller) and fewer than ``2 * BLOCK``.
 
-    No block has a single row, for which matmul takes another path and
-    rounds differently; the kernels blocked here give every row the bits of
-    the unblocked call.
+    Only for ``n = 1`` does a block have a single row, for which matmul
+    may take another path and round differently; otherwise the kernels
+    blocked here give every row the bits of the unblocked call.
+    :func:`_fill_rows`, which computes any subset of rows, computes a lone
+    row as a pair.
     """
     bounds = [*range(0, max(n - BLOCK, 1), BLOCK), n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fill_rows(out, rows, kernel, at=None):
+    """Set ``out[at[rows]] = kernel(rows)`` (``out[rows]`` when ``at`` is
+    None) for the index array ``rows``, a block of rows at a time.
+
+    The kernels round each row alike in any batch of two or more rows, so
+    a row has the bits of the whole computation, whichever rows are
+    computed with it; a lone row is computed as a pair.
+    """
+    if len(rows) == 1:
+        rows = np.repeat(rows, 2)
+    for b in _blocks(len(rows)):
+        out[rows[b] if at is None else at[rows[b]]] = kernel(rows[b])
+
+
+class ElementCarry:
+    """Element blocks of one adaptive iteration that the next one reuses.
+
+    The P1 stiffness blocks and, per local slot, the side Gram blocks of a
+    recovery family depend only on a triangle's geometry and coefficient
+    tensor.  A triangle that :func:`afemrec.mesh.refine` kept (its
+    ``tri_origin``) has its parent's geometry and sides bit for bit, so
+    where its tensor row is also bitwise equal to its parent's, its blocks
+    are its parent's.  :meth:`advance` gathers those for the new mesh, and
+    :meth:`blocks` hands each kernel its array with the triangles left to
+    compute.  With nothing carried every block is computed, so a fresh
+    computation is the same path.
+
+    One carry serves one adaptive run; :meth:`advance` moves it to the next
+    mesh, which must be the refinement of the previous one.  It holds one
+    mesh's blocks and tensor rows at a time.
+    """
+
+    def __init__(self):
+        self._tensor = None  # coefficient tensor rows of the current mesh
+        self._blocks = {}  # the current mesh's blocks, by name
+        self._carried = None  # (nt,) bool, the triangles whose blocks are carried
+
+    def advance(self, mesh, A):
+        """Move to ``mesh`` with coefficient ``A``: gather the rows of the
+        kept triangles whose tensor rows are bitwise equal to their
+        parents', and drop the previous mesh's blocks and tensor rows."""
+        parent_tensor, self._tensor = self._tensor, A.tensor
+        parent, self._blocks = self._blocks, {}
+        self._carried = np.zeros(len(A.tensor), dtype=bool)
+        src = mesh.tri_origin
+        if not parent or src is None:
+            return
+        kept = np.flatnonzero(src >= 0)
+        # bitwise: the raw words of the gathered (hence contiguous) rows
+        same = A.tensor[kept].view(np.uint64) == parent_tensor[src[kept]].view(np.uint64)
+        kept = kept[same.all(axis=(1, 2))]
+        if not len(kept):
+            return
+        self._carried[kept] = True
+        rows = np.where(self._carried, src, 0)
+        for name in list(parent):
+            self._blocks[name] = np.take(parent.pop(name), rows, axis=0)
+
+    def blocks(self, name, shape):
+        """``(out, todo)``: this mesh's blocks ``name``, an array of
+        ``shape`` (nt, ...) holding the carried rows, and the (nt,) mask of
+        the triangles whose rows are left to compute.  The carry keeps
+        ``out`` for the next mesh."""
+        out = self._blocks.get(name)
+        if out is None:
+            out = self._blocks[name] = np.empty(shape)
+            return out, np.ones(shape[0], dtype=bool)
+        return out, ~self._carried
 
 
 def _side_table(mesh, family):
@@ -234,24 +315,27 @@ def _side_table(mesh, family):
     Returns one ``(eids, tri, C)`` per side (``K-``, then ``K+``) for the
     edges that have that side: ``tri`` the side elements and ``C``
     (m, ndof, 3, 2) the vertex-vector form of the dofs there.
-    The element data is gathered a block of edges at a time.
+    The element data is gathered a block of edges at a time, by ``take``
+    of the flat row ``3 t + v`` of local vertex ``v`` of triangle ``t``.
     """
     ndof = 1 if family in ("rt", "ne") else 2
+    verts = mesh.triangles.reshape(-1)
+    grads = mesh.grad_lambda.reshape(-1, 2)
     table = []
     for side in (0, 1):
         eids = np.flatnonzero(mesh.edge_tris[:, side] >= 0)
         tri = mesh.edge_tris[eids, side]
         C = np.empty((len(eids), ndof, 3, 2))
         for b in _blocks(len(eids)):
-            e, t = eids[b], tri[b]
+            e, t3 = eids[b], 3 * tri[b]
             C[b] = _vertex_vectors(
                 family,
-                mesh.vertices[mesh.triangles[t]],
                 mesh.edge_slot[e, side],
                 side,
                 mesh.edge_length[e],
-                mesh.tri_area[t],
-                mesh.grad_lambda[t],
+                mesh.tri_area[tri[b]],
+                lambda v: np.take(mesh.vertices, verts[t3 + v], axis=0),
+                lambda v: np.take(grads, t3 + v, axis=0),
             )
         table.append((eids, tri, C))
     return tuple(table)
@@ -260,14 +344,25 @@ def _side_table(mesh, family):
 def _accumulate_vertex_vectors(table, side_coef, nt):
     """(nt, 3, 2) vertex-vector form of ``sum_F coef_F psi_F`` over the
     side table ``table`` of :func:`_side_table`, with ``side_coef`` the
-    (ne, 2) or (ne, 2, ndof) dof values on each side of each edge.  Blocks
-    of edges are added in order, so every sum keeps its order."""
+    (ne, 2) or (ne, 2, ndof) dof values on each side of each edge.
+
+    Each component is one ``bincount`` over the ``K-`` rows, then the
+    ``K+`` rows, which adds in input order: the order of the side table.
+    A row's part of a component, ``sum_d coef_d C[d, v, x]``, has at most
+    one nonzero term (a BDM or ND dof vanishes at every vertex but its
+    own), so it is the same in any summation order.
+    """
     side_coef = side_coef.reshape(len(side_coef), 2, -1)
-    out = np.zeros((nt, 3, 2))
-    for side, (eids, tri, C) in enumerate(table):
-        for b in _blocks(len(eids)):
-            contrib = np.einsum("md,mdvx->mvx", side_coef[eids[b], side], C[b])
-            np.add.at(out, tri[b], contrib)
+    tri = np.concatenate([t for _, t, _ in table])
+    coef = [side_coef[eids, side] for side, (eids, _, _) in enumerate(table)]
+    w = np.empty(len(tri))
+    parts = np.split(w, [len(table[0][0])])
+    out = np.empty((nt, 3, 2))
+    for v in range(3):
+        for x in range(2):
+            for part, c, (_, _, C) in zip(parts, coef, table):
+                np.einsum("md,md->m", c, C[:, :, v, x], out=part)
+            out[:, v, x] = np.bincount(tri, w, minlength=nt)
     return out
 
 
@@ -283,12 +378,12 @@ def basis_vertex_vectors(frame: LocalTriangleFrame, basis: LocalBasisId) -> np.n
     k = basis.edge
     C = _vertex_vectors(
         basis.family,
-        frame.x[None],
         np.array([k]),
         0,
         frame.edge_length[[k]],
         np.array([frame.area]),
-        frame.grad_lambda[None],
+        lambda v: frame.x[v],
+        lambda v: frame.grad_lambda[v],
     )
     return C[0, 1 if basis.endpoint == "e" else 0]
 

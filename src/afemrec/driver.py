@@ -4,7 +4,9 @@ Runs one of the three discretizations with its recovery-based estimator,
 marks elements by Doerfler bulk criterion on the element indicators, and
 bisects until a degree-of-freedom or iteration budget is reached.  Given
 the same configuration the loop is fully deterministic (sparse direct
-solves, ordered marking with id tie-breaks, deterministic refinement).
+solves, ordered marking with id tie-breaks, deterministic refinement), and
+the element blocks it carries between iterations equal fresh ones bit for
+bit and never outlive the run.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import ElementCarry
 from .estimators import indicators, oscillation, true_energy_error
 from .mesh import Mesh, refine
 from .problems import BenchmarkProblem, get_problem
@@ -153,14 +156,14 @@ def count_dofs(mesh: Mesh, method: str) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _estimate(mesh, A, config, data):
-    sol = _SOLVERS[config.method](mesh, A, data)
+def _estimate(mesh, A, config, data, carry):
+    sol = _SOLVERS[config.method](mesh, A, data, carry)
     traces = edge_traces(mesh, A, sol, data)
     if config.method == "nonconforming":
-        fields = [recover(mesh, A, traces, "nonconforming", fam)
+        fields = [recover(mesh, A, traces, "nonconforming", fam, carry=carry)
                   for fam in config.family.split("-")]
     else:
-        fields = recover(mesh, A, traces, config.method, config.family)
+        fields = recover(mesh, A, traces, config.method, config.family, carry=carry)
     del traces  # the indicators read only the recovered fields
     # the weights c only apply to the nonconforming pair
     return sol, indicators(mesh, A, fields, config.method, c=(config.c1, 1.0 - config.c1))
@@ -173,6 +176,18 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
     a budget is hit or the estimator vanishes.  The true energy error and
     effectivity index are recorded whenever the problem carries an exact
     solution.
+
+    The run's :class:`~afemrec.basis.ElementCarry` carries from one
+    iteration to the next only the blocks that depend on a triangle's
+    geometry and coefficient alone: the P1 / Crouzeix-Raviart stiffness
+    blocks, the side Gram blocks of each recovery family per (triangle,
+    slot), and the coefficient tensor rows they were computed with.  A
+    triangle that refinement kept (``mesh.tri_origin``) and whose tensor
+    row is bitwise equal to its parent's reuses its parent's blocks, which
+    equal a fresh computation bit for bit; every other block is computed.
+    So the history is the same as with every block computed afresh.  A
+    uniform run, whose refinements keep no triangle, holds no carry.  The
+    carry lives only inside this call.
     """
     problem = (
         get_problem(config.problem) if isinstance(config.problem, str) else config.problem
@@ -180,10 +195,14 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
     data = problem.data
     mesh = problem.mesh_factory(config.initial_n)
     history = ConvergenceHistory(config=config)
+    # a uniform refinement keeps no triangle, so its blocks are not held
+    carry = None if config.uniform else ElementCarry()
 
     for iteration in range(1, config.max_iter + 1):
         A = problem.coefficient(mesh)
-        sol, ind = _estimate(mesh, A, config, data)
+        if carry is not None:
+            carry.advance(mesh, A)
+        sol, ind = _estimate(mesh, A, config, data, carry)
 
         err = eff = None
         if data.has_exact:
@@ -221,8 +240,9 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
             marked = dorfler_mark(ind.eta_elements, config.theta)
         if marked.size == 0:
             break
-        # one iteration's state at a time: only the mesh and the marked set
-        # reach refine, and neither outlives it
+        # one iteration's state at a time: only the mesh, the marked set and
+        # the carried blocks reach refine, and the marked set does not
+        # outlive it
         del sol, ind, A
         mesh = refine(mesh, marked)
         del marked

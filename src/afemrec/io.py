@@ -92,7 +92,8 @@ def write_mesh_svg(mesh: Mesh, path, indicators=None, size: int = 800) -> None:
     """
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
+    # a floor relative to the extent, so a mesh draws alike at every scale
+    span = np.maximum(hi - lo, 1e-12 * (hi - lo).max())
     margin = 0.02 * span.max()
     width = span[0] + 2 * margin
     height = span[1] + 2 * margin

@@ -74,13 +74,13 @@ def _check_arrays(vertices, triangles):
 def _element_geometry(vertices, triangles):
     """``(area, diam, grad_lambda)`` of the triangles; raises MeshError for
     a degenerate or clockwise one."""
-    coords = vertices[triangles]  # (nt, 3, 2)
+    coords = np.take(vertices, triangles, axis=0)  # (nt, 3, 2)
     area2 = _area2(coords)
     if np.any(area2 <= 0.0):
         bad = int(np.argmax(area2 <= 0.0))
         raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
     # edge vectors e_l = x_{l+2} - x_{l+1} (opposite local vertex l)
-    evec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+    evec = np.take(coords, [2, 0, 1], axis=1) - np.take(coords, [1, 2, 0], axis=1)
     del coords
     diam = np.linalg.norm(evec, axis=2).max(axis=1)
     grad_lambda = _rot90(evec)
@@ -159,12 +159,18 @@ class Mesh:
     tri_area, tri_diam : (nt,) float
     grad_lambda : (nt, 3, 2) float gradients of the barycentric coordinates
     vertex_label : (nv,) int vertex classification (Dirichlet wins at corners)
+    tri_origin : (nt,) int or None; for a mesh made by :func:`refine`, the
+        id of the parent triangle each triangle is identical to (same
+        vertices in the same order, hence the same geometry bit for bit and
+        the same side of each of its edges), -1 for a triangle bisection
+        created; None for any other mesh
 
     ``boundary = (pairs, labels)`` gives vertex-id pairs (n, 2), in either
     direction, and their DIRICHLET / NEUMANN labels; every boundary edge must
     be listed.  ``inherited`` gives directed ``(s, e)`` pairs (m, 2) that fix
     the orientation of their edges.  Pairs that are not edges of this mesh
-    are ignored; an edge listed twice takes its first record.
+    are ignored; an edge listed twice takes its first record.  ``origin``
+    becomes ``tri_origin``.
     """
 
     def __init__(
@@ -175,6 +181,7 @@ class Mesh:
         refinement_edge,
         boundary,
         inherited=(),
+        origin=None,
     ):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -185,6 +192,7 @@ class Mesh:
         self.triangles = triangles
         self.tri_region = np.ascontiguousarray(tri_region, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
+        self.tri_origin = None if origin is None else np.asarray(origin, dtype=np.int64)
 
         self.tri_area, self.tri_diam, self.grad_lambda = _element_geometry(
             vertices, triangles
@@ -228,7 +236,7 @@ class Mesh:
 
         self.edges = np.stack([s_ids, e_ids], axis=1)
         self.edge_label = label
-        tangent = vertices[e_ids] - vertices[s_ids]
+        tangent = np.take(vertices, e_ids, axis=0) - np.take(vertices, s_ids, axis=0)
         del inc, has, s_ids, e_ids
         self.edge_length = np.linalg.norm(tangent, axis=1)
         tangent /= self.edge_length[:, None]
@@ -288,17 +296,18 @@ class Mesh:
 
     def tri_coords(self):
         """(nt, 3, 2) vertex coordinates per triangle."""
-        return self.vertices[self.triangles]
+        return np.take(self.vertices, self.triangles, axis=0)
 
     def tri_edge_midpoints(self):
         """(nt, 3, 2) midpoint of the edge opposite each local vertex."""
         c = self.tri_coords()
-        return 0.5 * (c[:, [1, 2, 0]] + c[:, [2, 0, 1]])
+        return 0.5 * (np.take(c, [1, 2, 0], axis=1) + np.take(c, [2, 0, 1], axis=1))
 
     def edge_midpoints(self, eids=slice(None)):
         """(m, 2) midpoints of the edges ``eids`` (default: all)."""
         ends = self.edges[eids]
-        return 0.5 * (self.vertices[ends[:, 0]] + self.vertices[ends[:, 1]])
+        v = self.vertices
+        return 0.5 * (np.take(v, ends[:, 0], axis=0) + np.take(v, ends[:, 1], axis=0))
 
     def tri_barycenters(self):
         return self.tri_coords().mean(axis=1)
@@ -335,10 +344,11 @@ class Mesh:
         km = self.edge_tris[:, 0]
         opp = self.triangles[km, self.edge_slot[:, 0]]
         d = self.edge_midpoints()
-        d -= self.vertices[opp]
+        d -= np.take(self.vertices, opp, axis=0)
         d *= self.edge_normal
         out = d.sum(axis=1)
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        v = self.vertices
+        d = np.take(v, self.edges[:, 1], axis=0) - np.take(v, self.edges[:, 0], axis=0)
         d *= self.edge_normal
         tangential = np.abs(d.sum(axis=1))
         unit = np.abs((self.edge_normal**2).sum(axis=1) - 1.0)
@@ -441,6 +451,12 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     Every marked element is bisected at least once; hanging nodes are
     removed by recursively bisecting neighbours.  Boundary labels, edge
     orientations of surviving edges, and coefficient regions are inherited.
+    The child's ``tri_origin`` names, for each triangle, the parent triangle
+    it is identical to (-1 for the triangles bisection creates): none of
+    its edges was cut, so its geometry, its edges' lengths and its side of
+    each edge are the parent's bit for bit, and an adaptive run carries the
+    element blocks of such triangles over (see
+    :class:`afemrec.basis.ElementCarry`).
     Returns ``mesh`` itself when nothing is marked.
     """
     marked = np.asarray(marked_elements, dtype=np.int64)
@@ -477,44 +493,47 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     labels = np.concatenate([mesh.edge_label[bnd], np.tile(mesh.edge_label[bcut], 2)])
 
     # the passes' temporaries are gone before the new mesh is built
-    triangles, region, ref = _bisect(mesh, cut, mid)
-    return Mesh(new_vertices, triangles, region, ref, (pairs, labels), mesh.edges)
+    triangles, region, ref, origin = _bisect(mesh, cut, mid)
+    return Mesh(new_vertices, triangles, region, ref, (pairs, labels), mesh.edges, origin)
 
 
 def _bisect(mesh: Mesh, cut, mid):
-    """``(triangles, region, refinement_edge)`` after bisecting every
+    """``(triangles, region, refinement_edge, origin)`` after bisecting every
     triangle of ``mesh`` across its refinement edge while that edge is
     ``cut`` (indexed by edge id), at the vertex ``mid`` of that edge; at
     most three passes deep.
 
     Each triangle carries the ids of its edges in ``mesh`` (-1 for the
-    edges bisection creates).  ``(p, b, c)`` with refinement edge ``b-c``
-    becomes ``(p, b, m), (p, m, c)`` in place; their refinement edges
-    ``p-b`` and ``c-p`` are edges of the parent.
+    edges bisection creates) and its ``origin``, the id of the triangle of
+    ``mesh`` it still is (-1 once bisected).  ``(p, b, c)`` with refinement
+    edge ``b-c`` becomes ``(p, b, m), (p, m, c)`` in place; their refinement
+    edges ``p-b`` and ``c-p`` are edges of the parent.
     """
     verts = mesh.triangles
     region = mesh.tri_region
     ref = mesh.refinement_edge
     eids = mesh.tri_edges
+    origin = np.arange(len(verts))
     for _ in range(4):
         rows = np.arange(len(verts))
         split = cut[eids[rows, ref]]
         if not split.any():
-            return verts, region, ref
+            return verts, region, ref, origin
         sp = np.flatnonzero(split)
         k = ref[sp]
         p, b, c = (verts[sp, (k + j) % 3] for j in range(3))
         m = mid[eids[sp, k]]
         e_pb, e_cp = eids[sp, (k + 2) % 3], eids[sp, (k + 1) % 3]
 
-        verts, region, ref, eids = (
-            np.repeat(a, 1 + split, axis=0) for a in (verts, region, ref, eids)
+        verts, region, ref, eids, origin = (
+            np.repeat(a, 1 + split, axis=0) for a in (verts, region, ref, eids, origin)
         )
         first = sp + np.arange(len(sp))  # the second child follows the first
         verts[first] = np.stack([p, b, m], axis=1)
         verts[first + 1] = np.stack([p, m, c], axis=1)
         ref[first], ref[first + 1] = 2, 1
         eids[first] = eids[first + 1] = -1
+        origin[first] = origin[first + 1] = -1
         eids[first, 2], eids[first + 1, 1] = e_pb, e_cp
     raise MeshError("bisection pass limit exceeded")  # pragma: no cover - at most three passes
 

@@ -36,7 +36,9 @@ edge ``F`` with global endpoints ``s, e`` and opposite vertex ``o``::
 
 These are the edge bases of :mod:`afemrec.basis` seen from each side, built
 once per recovery as its side table, which gives the Gram blocks and then
-the correction and recovered fields.  One trace table (``_side_traces``)
+the correction and recovered fields.  In an adaptive run the Gram blocks of
+the triangles refinement kept come from the previous iteration (see
+:func:`patch_weights`).  One trace table (``_side_traces``)
 feeds both the recovery and :func:`compute_jumps`, the single definition of
 the edge jumps that the oracle check and the residual estimators read.
 
@@ -64,8 +66,9 @@ import numpy as np
 from .basis import (
     FLUX_FAMILIES,
     GRADIENT_FAMILIES,
+    ElementCarry,
     _accumulate_vertex_vectors,
-    _blocks,
+    _fill_rows,
     _side_table,
     _weighted_gram,
 )
@@ -215,8 +218,18 @@ class PatchWeights:
     b_nc = property(lambda self: self.nd_response[:, 1].sum(axis=1))
 
 
-def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
-    """Patch responses for every interior edge, from exact Gram integrals."""
+def patch_weights(
+    mesh: Mesh, A: CoefficientField, family: str, carry: ElementCarry | None = None
+) -> PatchWeights:
+    """Patch responses for every interior edge, from exact Gram integrals.
+
+    The Gram block of an edge side is that of the side element at the
+    edge's local slot.  With ``carry``, the :class:`ElementCarry` of an
+    adaptive run, a triangle kept from the previous mesh with a bitwise
+    equal tensor row takes its parent's blocks, which equal a fresh
+    computation bit for bit; the others are computed, and ``carry`` keeps
+    this mesh's blocks, per (triangle, slot), for the next mesh.
+    """
     if family not in FLUX_FAMILIES + GRADIENT_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     ndof = len(_DOF_SIGN[family])
@@ -224,17 +237,30 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
     gram = np.zeros((ne, 2, ndof, ndof))
     table = _side_table(mesh, family)
     W = A.inv if family in FLUX_FAMILIES else A.tensor
+    carry = ElementCarry() if carry is None else carry
+    # the blocks per (triangle, slot), at flat row 3 t + slot
+    slot_gram, todo = carry.blocks("gram-" + family, (mesh.n_triangles, 3, ndof, ndof))
+    slot_gram = slot_gram.reshape(-1, ndof, ndof)
     for side, (eids, tri, C) in enumerate(table):
-        for b in _blocks(len(eids)):
-            t = tri[b]
-            gram[eids[b], side] = _weighted_gram(W[t], C[b], mesh.tri_area[t])
+        rows = 3 * tri + mesh.edge_slot[eids, side]
+        _fill_rows(
+            slot_gram,
+            np.flatnonzero(todo[tri]),
+            lambda r: _weighted_gram(
+                np.take(W, tri[r], axis=0), np.take(C, r, axis=0), mesh.tri_area[tri[r]]
+            ),
+            at=rows,
+        )
+        gram[eids, side] = np.take(slot_gram, rows, axis=0)
 
     # P = adj(Gt) Gm / det(Gt) by Cramer's rule, reading only the upper
-    # triangles of the symmetric Gram blocks
-    i = mesh.edge_label == INTERIOR
-    Gm = gram[i, 0]
+    # triangles of the symmetric Gram blocks, on the interior edges: those
+    # with a K+ side
+    inner = table[1][0]
+    G = np.take(gram, inner, axis=0)
+    Gm = G[:, 0]
     Gm[:, -1, 0] = Gm[:, 0, -1]
-    Gt = gram[i].sum(axis=1)
+    Gt = Gm + G[:, 1]
     if ndof == 1:
         det = Gt[:, 0, 0]
         adj = np.ones_like(Gt)
@@ -244,8 +270,12 @@ def patch_weights(mesh: Mesh, A: CoefficientField, family: str) -> PatchWeights:
         adj = np.stack([c, -b, -b, a], axis=1).reshape(-1, 2, 2)
     if np.any(det <= 0.0):
         raise RecoveryError("singular patch Gram system")
+    # adj Gm, summed over the inner index in order
+    prod = adj[:, :, 0, None] * Gm[:, None, 0]
+    for d in range(1, ndof):
+        prod += adj[:, :, d, None] * Gm[:, None, d]
     response = np.full((ne, ndof, ndof), np.nan)
-    response[i] = (adj[:, :, :, None] * Gm[:, None]).sum(axis=2) / det[:, None, None]
+    response[inner] = prod / det[:, None, None]
     return PatchWeights(family=family, gram=gram, response=response, side_table=table)
 
 
@@ -296,6 +326,7 @@ def recover(
     method: str,
     family: str,
     validate: str | bool = "sample",
+    carry: ElementCarry | None = None,
 ) -> RecoveredField:
     """Recover a conforming flux (rt/bdm) or gradient (ne/nd).
 
@@ -306,14 +337,16 @@ def recover(
     data, and the remaining boundary dofs keep the numerical trace.
     ``validate`` cross-checks the correction coefficients against
     :func:`local_oracle` on a sample of edges ("sample" or True, the
-    default), every edge ("all"), or not at all (False).
+    default), every edge ("all"), or not at all (False); the sample does not
+    depend on which Gram blocks ``carry`` supplied (see
+    :func:`patch_weights`).
     """
     if (method, family) not in VALID_PAIRS:
         raise ValueError(f"no recovery is defined for method={method!r}, family={family!r}")
     if validate not in ("sample", "all", True, False):
         raise ValueError(f"validate must be 'sample', 'all', True or False, not {validate!r}")
     jumps = compute_jumps(mesh, A, traces, method)
-    w = patch_weights(mesh, A, family)
+    w = patch_weights(mesh, A, family, carry)
     kind = "flux" if family in FLUX_FAMILIES else "gradient"
     sides, data = _side_traces(traces, kind)
     numerical = _dofs(family, sides)  # (ne, 2, ndof)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import _accumulate_vertex_vectors, _blocks, _side_ends, _side_table
+from .basis import ElementCarry, _accumulate_vertex_vectors, _fill_rows, _side_ends, _side_table
 from .mesh import Mesh
 
 __all__ = [
@@ -263,20 +263,32 @@ def _assemble(local, dofs, n):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _p1_stiffness(mesh: Mesh, A: CoefficientField) -> np.ndarray:
-    """(nt, 3, 3) element blocks ``int_K A grad lambda_m . grad lambda_l``."""
-    out = np.empty((mesh.n_triangles, 3, 3))
-    for b in _blocks(mesh.n_triangles):
-        g = mesh.grad_lambda[b]  # (m, 3, 2)
-        Ag = np.einsum("tij,tlj->tli", A.tensor[b], g)
-        out[b] = np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[b, None, None]
+def _p1_stiffness(
+    mesh: Mesh, A: CoefficientField, carry: ElementCarry | None = None
+) -> np.ndarray:
+    """(nt, 3, 3) element blocks ``int_K A grad lambda_m . grad lambda_l``.
+
+    With ``carry``, kept triangles with bitwise equal tensor rows take
+    their parent's blocks (see :func:`afemrec.recovery.patch_weights`), and
+    ``carry`` keeps the blocks for the next mesh.
+    """
+    carry = ElementCarry() if carry is None else carry
+    out, todo = carry.blocks("stiffness", (mesh.n_triangles, 3, 3))
+
+    def kernel(t):
+        g = np.take(mesh.grad_lambda, t, axis=0)  # (m, 3, 2)
+        Ag = np.einsum("tij,tlj->tli", np.take(A.tensor, t, axis=0), g)
+        return np.einsum("tli,tmi->tlm", Ag, g) * mesh.tri_area[t, None, None]
+
+    _fill_rows(out, np.flatnonzero(todo), kernel)
     return out
 
 
-def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what):
+def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what, carry):
     """Solve ``K u = b`` for the dofs not in ``fixed``, whose values ``u``
-    already holds; returns ``u``.  ``K`` is assembled from ``scale`` times
-    the P1 stiffness blocks on the element dof map ``dofs``.
+    already holds; returns ``u``.  ``K`` is assembled from ``scale``, a
+    power of two, times the P1 stiffness blocks on the element dof map
+    ``dofs``.
 
     Only the free rows of ``K`` outlive the assembly and only the free block
     reaches the factorization, so neither the full matrix nor its triplets
@@ -284,26 +296,33 @@ def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what):
     """
     free = np.setdiff1d(np.arange(len(b)), fixed)
     if free.size:
-        blocks = _p1_stiffness(mesh, A)
-        blocks *= scale
-        K = _assemble(blocks, dofs, len(b))[free]
-        del blocks
+        K = _assemble(_p1_stiffness(mesh, A, carry), dofs, len(b))[free]
+        # a power-of-two scale of the summed entries equals the sum of the
+        # scaled blocks bit for bit
+        K.data *= scale
         rhs = b[free] - K[:, fixed] @ u[fixed]
         K = K[:, free].tocsc()
         u[free] = _solve_checked(K, rhs, what)
     return u
 
 
-def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
-    """P1 Galerkin solution with Dirichlet interpolation at vertices."""
+def solve_conforming(
+    mesh: Mesh, A: CoefficientField, data: ProblemData, carry: ElementCarry | None = None
+) -> DiscreteSolution:
+    """P1 Galerkin solution with Dirichlet interpolation at vertices.
+
+    ``carry`` (here and in the other solvers) is an adaptive run's
+    :class:`ElementCarry`, which supplies and takes the stiffness blocks.
+    """
     nv = mesh.n_vertices
-    b = np.zeros(nv)
     fm = _rhs_midpoint_rule(mesh, data.f)  # (nt, 3)
     w = mesh.tri_area / 3.0
-    # lambda_l vanishes at the midpoint opposite vertex l, equals 1/2 at the rest
-    for l in range(3):
-        contrib = 0.5 * w * (fm.sum(axis=1) - fm[:, l])
-        np.add.at(b, mesh.triangles[:, l], contrib)
+    # lambda_l vanishes at the midpoint opposite vertex l, equals 1/2 at the
+    # rest; the vertex loads are added for l = 0, 1, 2 in turn, in element
+    # order, which is bincount's input order
+    loads = np.stack([0.5 * w * (fm.sum(axis=1) - fm[:, l]) for l in range(3)])
+    b = np.bincount(mesh.triangles.T.ravel(), loads.ravel(), minlength=nv)
+    del fm, loads
 
     gN = _neumann_values(mesh, data)
     neu = mesh.neumann_edges
@@ -314,18 +333,17 @@ def solve_conforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> Disc
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
     u[fixed] = _eval(data.g_D, mesh.vertices[fixed])
-    u = _solve_stiffness(mesh, A, mesh.triangles, 1.0, b, u, fixed, "conforming")
+    u = _solve_stiffness(mesh, A, mesh.triangles, 1.0, b, u, fixed, "conforming", carry)
     return DiscreteSolution(method="conforming", mesh=mesh, u_vertex=u)
 
 
-def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads, what):
+def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads, what, carry):
     """Crouzeix-Raviart system on the edges with element loads ``loads``
     (nt, 3): the flux ``g_N h`` is taken out on Neumann edges and ``g_D``
     fixed at the Dirichlet edge midpoints."""
     ne = mesh.n_edges
-    b = np.zeros(ne)
-    for l in range(3):
-        np.add.at(b, mesh.tri_edges[:, l], loads[:, l])
+    # the loads of slot 0, 1, 2 in turn, in element order
+    b = np.bincount(mesh.tri_edges.T.ravel(), loads.T.ravel(), minlength=ne)
 
     gN = _neumann_values(mesh, data)
     neu = mesh.neumann_edges
@@ -335,17 +353,21 @@ def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads
     fixed = mesh.dirichlet_edges
     u[fixed] = _eval(data.g_D, mesh.edge_midpoints(fixed))
     # grad of the CR basis on edge l is -2 grad lambda_l
-    return _solve_stiffness(mesh, A, mesh.tri_edges, 4.0, b, u, fixed, what)
+    return _solve_stiffness(mesh, A, mesh.tri_edges, 4.0, b, u, fixed, what, carry)
 
 
-def solve_nonconforming(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
+def solve_nonconforming(
+    mesh: Mesh, A: CoefficientField, data: ProblemData, carry: ElementCarry | None = None
+) -> DiscreteSolution:
     """Crouzeix-Raviart solution with midpoint Dirichlet interpolation."""
     loads = (mesh.tri_area / 3.0)[:, None] * _rhs_midpoint_rule(mesh, data.f)
-    u = _solve_edge_system(mesh, A, data, loads, "nonconforming")
+    u = _solve_edge_system(mesh, A, data, loads, "nonconforming", carry)
     return DiscreteSolution(method="nonconforming", mesh=mesh, u_edge=u)
 
 
-def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteSolution:
+def solve_mixed(
+    mesh: Mesh, A: CoefficientField, data: ProblemData, carry: ElementCarry | None = None
+) -> DiscreteSolution:
     """RT0 x P0 mixed solution, by hybridization.
 
     Condensing each element's outward fluxes and value onto one multiplier
@@ -358,7 +380,7 @@ def solve_mixed(mesh: Mesh, A: CoefficientField, data: ProblemData) -> DiscreteS
     """
     fbar = _rhs_midpoint_rule(mesh, data.f).mean(axis=1)
     loads = np.repeat((mesh.tri_area * fbar / 3.0)[:, None], 3, axis=1)
-    lam = _solve_edge_system(mesh, A, data, loads, "mixed")
+    lam = _solve_edge_system(mesh, A, data, loads, "mixed", carry)
 
     cr = DiscreteSolution(method="nonconforming", mesh=mesh, u_edge=lam)
     flux = -np.einsum("tij,tj->ti", A.tensor, cr.element_gradients())
@@ -399,7 +421,7 @@ def _per_side(mesh: Mesh, direction, field, k=1) -> np.ndarray:
         t = mesh.edge_tris[F, side]
         for j, v in enumerate(_side_ends(mesh.edge_slot[F, side], side)[:k]):
             vals = field(t, v)
-            out[F, side, j] = (vals * direction[F]).sum(axis=1)
+            out[F, side, j] = (vals * np.take(direction, F, axis=0)).sum(axis=1)
     return out
 
 
@@ -422,14 +444,17 @@ def edge_traces(
     if solution.method in ("conforming", "nonconforming"):
         grad = solution.element_gradients()
         sigma_el = -np.einsum("tij,tj->ti", A.tensor, grad)
-        tr.flux = _per_side(mesh, mesh.edge_normal, lambda t, p: sigma_el[t])
+        tr.flux = _per_side(mesh, mesh.edge_normal, lambda t, p: np.take(sigma_el, t, axis=0))
         if solution.method == "nonconforming":
-            tr.grad = _per_side(mesh, mesh.edge_tangent, lambda t, p: grad[t])
+            tr.grad = _per_side(mesh, mesh.edge_tangent, lambda t, p: np.take(grad, t, axis=0))
         return tr
 
     if solution.method == "mixed":
         rho = -np.einsum("tij,tvj->tvi", A.inv, solution.flux_vertex_vectors())
-        tr.grad = _per_side(mesh, mesh.edge_tangent, lambda t, v: rho[t, v], k=2)
+        rho = rho.reshape(-1, 2)  # row 3 t + v
+        tr.grad = _per_side(
+            mesh, mesh.edge_tangent, lambda t, v: np.take(rho, 3 * t + v, axis=0), k=2
+        )
         return tr
 
     raise ValueError(f"unknown method {solution.method!r}")

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+import afemrec.basis
 import afemrec.driver
 from afemrec.driver import AfemConfig, count_dofs, dorfler_mark, run_afem
 from afemrec.mesh import initial_kellogg_mesh, unit_square_mesh
@@ -140,9 +141,9 @@ def test_run_holds_one_iteration_at_a_time(kellogg, monkeypatch):
     solve = afemrec.driver._SOLVERS["conforming"]
     estimate = afemrec.driver.indicators
 
-    def tracked_solve(mesh, A, data):
+    def tracked_solve(mesh, A, data, carry):
         assert [ref() for ref in last] == [None] * len(last)
-        sol = solve(mesh, A, data)
+        sol = solve(mesh, A, data, carry)
         last[:] = [weakref.ref(mesh), weakref.ref(A), weakref.ref(sol)]
         solves.append(mesh.n_triangles)
         return sol
@@ -161,6 +162,42 @@ def test_run_holds_one_iteration_at_a_time(kellogg, monkeypatch):
     assert last[0]() is h.final_mesh
     assert h.final_indicators.shape == (h.final_mesh.n_triangles,)
     assert h.final_indicators.max() == h.records[-1].max_indicator
+
+
+def test_runs_in_one_process_repeat(kellogg):
+    # a run carries element blocks from one iteration to the next, and
+    # nothing from one run to another
+    def run(method, family):
+        cfg = AfemConfig(problem=kellogg, method=method, family=family, initial_n=4, max_dof=800)
+        return run_afem(cfg)
+
+    first = run("conforming", "rt")
+    run("nonconforming", "bdm-nd")
+    again = run("conforming", "rt")
+    assert len(first.records) >= 5
+    assert first.records == again.records
+    assert first.final_indicators.tobytes() == again.final_indicators.tobytes()
+
+
+@pytest.mark.parametrize(
+    "method,family", [("conforming", "bdm"), ("mixed", "nd"), ("nonconforming", "rt-ne")]
+)
+def test_carried_blocks_leave_the_history_unchanged(kellogg, monkeypatch, method, family):
+    cfg = AfemConfig(problem=kellogg, method=method, family=family, initial_n=4, max_dof=800)
+    carried = run_afem(cfg)
+    carried_rows = []
+    blocks = afemrec.basis.ElementCarry.blocks
+
+    def nothing_carried(self, name, shape):
+        out, todo = blocks(self, name, shape)
+        carried_rows.append(np.count_nonzero(~todo))
+        return out, np.ones_like(todo)
+
+    monkeypatch.setattr(afemrec.basis.ElementCarry, "blocks", nothing_carried)
+    fresh = run_afem(cfg)
+    assert sum(carried_rows) > 0
+    assert carried.records == fresh.records
+    assert carried.final_indicators.tobytes() == fresh.final_indicators.tobytes()
 
 
 def test_uniform_run(kellogg):

@@ -7,7 +7,7 @@ import pytest
 from afemrec.cli import main, parse_cli
 from afemrec.driver import AfemConfig, run_afem
 from afemrec.io import read_history_csv, write_history_csv, write_mesh_svg
-from afemrec.mesh import initial_kellogg_mesh, refine, unit_square_mesh, write_mesh_text
+from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh, write_mesh_text
 from afemrec.problems import BenchmarkProblem, manufactured_affine
 from afemrec.solvers import CoefficientField, ProblemData
 
@@ -77,6 +77,23 @@ def test_svg_indicator_coloring(tmp_path, square2):
     assert all(f.startswith("#") for f in fills)
     with pytest.raises(ValueError):
         write_mesh_svg(square2, path, indicators=np.ones(3))
+
+
+def test_svg_fills_the_view_box_at_any_scale(tmp_path):
+    # scaling by a power of two is exact, so a scaled copy of a mesh draws
+    # the same picture into the same view box, byte for byte
+    base = initial_kellogg_mesh(8)
+    for exponent in (0, -40, -50):
+        mesh = build_mesh(base.vertices * 2.0**exponent, base.triangles, regions=base.tri_region)
+        write_mesh_svg(mesh, tmp_path / f"scaled{exponent}.svg")
+    root = ET.parse(tmp_path / "scaled0.svg").getroot()
+    assert root.get("viewBox") == "0 0 800.00 800.00"
+    points = [p.get("points").replace(",", " ") for p in root if p.tag.endswith("polygon")]
+    coords = np.array(" ".join(points).split(), dtype=float)
+    assert coords.max() - coords.min() > 760.0
+    reference = (tmp_path / "scaled0.svg").read_bytes()
+    for exponent in (-40, -50):
+        assert (tmp_path / f"scaled{exponent}.svg").read_bytes() == reference, exponent
 
 
 def test_writer_bytes_pinned(tmp_path):

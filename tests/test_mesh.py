@@ -271,6 +271,7 @@ def test_constructor_takes_unordered_records():
         m.refinement_edge,
         (pairs, labels),
         m.edges[rng.permutation(m.n_edges)],
+        m.tri_origin,
     )
     assert vars(r).keys() == vars(m).keys()
     for name, value in vars(m).items():

@@ -88,6 +88,30 @@ def check_regions(parent, child):
     assert np.array_equal(child.tri_region, parent.tri_region[host.argmax(axis=1)])
 
 
+def check_origin(parent, child):
+    """A triangle with a parent id is that parent triangle verbatim, with
+    its geometry bits and its side of each edge; every other triangle is
+    new."""
+    origin = child.tri_origin
+    kept = np.flatnonzero(origin >= 0)
+    src = origin[kept]
+    assert np.all(origin[origin < 0] == -1)
+    assert len(np.unique(src)) == len(src)
+    assert np.array_equal(child.triangles[kept], parent.triangles[src])
+    assert np.array_equal(child.tri_region[kept], parent.tri_region[src])
+    assert np.array_equal(child.refinement_edge[kept], parent.refinement_edge[src])
+    for name in ("tri_area", "grad_lambda"):
+        assert getattr(child, name)[kept].tobytes() == getattr(parent, name)[src].tobytes()
+    both = ((child, kept), (parent, src))
+    sides = [m.edge_tris[m.tri_edges[t], 1] == t[:, None] for m, t in both]
+    assert np.array_equal(*sides)
+    lengths = [m.edge_length[m.tri_edges[t]].tobytes() for m, t in both]
+    assert lengths[0] == lengths[1]
+    # every parent triangle that survives verbatim has its id recorded
+    triples = [set(map(tuple, m.triangles.tolist())) for m in (parent, child)]
+    assert len(triples[0] & triples[1]) == len(kept)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(base=st.sampled_from(sorted(BASES)), data=st.data())
 def test_orientation_contract_under_random_nvb(base, data):
@@ -108,6 +132,7 @@ def test_orientation_contract_under_random_nvb(base, data):
         check_orientation(child)
         check_nvb(child, base_min_angle)
         check_regions(mesh, child)
+        check_origin(mesh, child)
 
         parent_index = _edge_index(mesh)
         for key, F in _edge_index(child).items():
@@ -122,6 +147,14 @@ def test_orientation_contract_under_random_nvb(base, data):
                 assert child.edge_normal[F].tobytes() == mesh.edge_normal[P].tobytes()
                 assert child.edge_label[F] == mesh.edge_label[P]
         mesh = child
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_uniform_refinement_keeps_no_triangle(base):
+    mesh = BASES[base]()
+    assert mesh.tri_origin is None
+    child = refine(mesh, np.arange(mesh.n_triangles))
+    assert np.all(child.tri_origin == -1)
 
 
 # triangle count and SHA-256 of the topology after three rounds of seeded

@@ -540,8 +540,8 @@ def test_oracle_catches_perturbed_weight(request, monkeypatch, method, family, g
     F = int(edges[np.argmax(size[edges])])
     exact_weights = recovery.patch_weights
 
-    def perturbed(mesh_, A_, family_):
-        w = exact_weights(mesh_, A_, family_)
+    def perturbed(mesh_, A_, family_, carry_):
+        w = exact_weights(mesh_, A_, family_, carry_)
         w.response[F, 0, 0] *= 1.0 + 1e-6
         return w
 
@@ -560,8 +560,8 @@ def test_oracle_catches_nan_weight(monkeypatch, validate):
     F = int(sample[np.isin(sample, mesh.interior_edges)][0])
     exact_weights = recovery.patch_weights
 
-    def perturbed(mesh_, A_, family_):
-        w = exact_weights(mesh_, A_, family_)
+    def perturbed(mesh_, A_, family_, carry_):
+        w = exact_weights(mesh_, A_, family_, carry_)
         w.response[F, 0, 0] = np.nan
         return w
 
