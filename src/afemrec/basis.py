@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import MeshError, _element_geometry, _rot90
+
 __all__ = [
     "LocalTriangleFrame",
     "LocalBasisId",
@@ -109,26 +111,21 @@ class LocalTriangleFrame:
     @staticmethod
     def from_vertices(p0, p1, p2) -> "LocalTriangleFrame":
         x = np.array([p0, p1, p2], dtype=float)
-        e = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])  # e_k = end-start
-        area = 0.5 * (x[1, 0] - x[0, 0]) * (x[2, 1] - x[0, 1]) - 0.5 * (
-            x[1, 1] - x[0, 1]
-        ) * (x[2, 0] - x[0, 0])
-        if area <= 0.0:
-            raise BasisError("triangle is not counterclockwise or is degenerate")
-        # grad(lambda_k) = rot90(e_k) / (2 area), rot90(v) = (-v2, v1)
-        grad = np.column_stack([-e[:, 1], e[:, 0]]) / (2.0 * area)
-        h = np.linalg.norm(e, axis=1)
-        height = 2.0 * area / h
+        try:
+            (area,), _, (grad,) = _element_geometry(x, np.array([[0, 1, 2]]))
+        except MeshError:
+            raise BasisError("triangle is not counterclockwise or is degenerate") from None
+        # the edge opposite vertex k runs from vertex k + 1 to vertex k + 2
+        h = np.linalg.norm(x[[2, 0, 1]] - x[[1, 2, 0]], axis=1)
         normal = -grad / np.linalg.norm(grad, axis=1)[:, None]
-        tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
         return LocalTriangleFrame(
             x=x,
             grad_lambda=grad,
             area=float(area),
             edge_length=h,
-            height=height,
+            height=2.0 * area / h,
             normal=normal,
-            tangent=tangent,
+            tangent=_rot90(normal),
         )
 
     def barycentric(self, point) -> np.ndarray:
@@ -424,16 +421,18 @@ def barycentric_integral(frame: LocalTriangleFrame, exponents) -> float:
     return 2.0 * frame.area * _FACT[a] * _FACT[b] * _FACT[c] / _FACT[a + b + c + 2]
 
 
-def _check_spd_2x2(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2):
-        raise BasisError("weight must be a 2x2 matrix")
-    scale = max(abs(M).max(), 1.0)
-    if abs(M[0, 1] - M[1, 0]) > 1e-14 * scale:
-        raise BasisError("weight matrix is not symmetric")
-    if M[0, 0] <= 0.0 or np.linalg.det(M) <= 0.0:
-        raise BasisError("weight matrix is not positive definite")
-    return M
+def _check_spd(M: np.ndarray) -> None:
+    """Raise :class:`BasisError` unless ``M`` is an (m, 2, 2) array of
+    symmetric (to 1e-14 of its largest entry, at least 1) positive definite
+    matrices."""
+    if M.ndim != 3 or M.shape[1:] != (2, 2):
+        raise BasisError("tensors must have shape (m, 2, 2)")
+    scale = max(np.abs(M).max(), 1.0)
+    if np.abs(M[:, 0, 1] - M[:, 1, 0]).max() > 1e-14 * scale:
+        raise BasisError("2x2 tensor is not symmetric")
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    if np.any(M[:, 0, 0] <= 0) or np.any(det <= 0):
+        raise BasisError("2x2 tensor is not positive definite")
 
 
 # int_K lambda_v lambda_w dx / |K|
@@ -477,6 +476,7 @@ def weighted_mass_entry(
     id_b: LocalBasisId,
 ) -> float:
     """Exact ``integral_K (M phi_a) . phi_b dx`` for constant SPD ``M``."""
-    M = _check_spd_2x2(M)
+    M = np.asarray(M, dtype=float)
+    _check_spd(M[None])
     C = np.stack([basis_vertex_vectors(frame, id_a), basis_vertex_vectors(frame, id_b)])
     return float(_weighted_gram(M[None], C[None], np.array([frame.area]))[0, 0, 1])

@@ -19,7 +19,7 @@ from .basis import ElementCarry
 from .estimators import indicators, oscillation, true_energy_error
 from .mesh import Mesh, refine
 from .problems import BenchmarkProblem, get_problem
-from .recovery import recover
+from .recovery import FAMILY_CHOICES, recover
 from .solvers import (
     edge_traces,
     solve_conforming,
@@ -36,12 +36,6 @@ __all__ = [
     "count_dofs",
     "run_afem",
 ]
-
-FAMILY_CHOICES = {
-    "conforming": ("rt", "bdm"),
-    "mixed": ("nd",),
-    "nonconforming": ("rt-ne", "bdm-nd"),
-}
 
 _SOLVERS = {
     "conforming": solve_conforming,
@@ -159,11 +153,8 @@ def count_dofs(mesh: Mesh, method: str) -> int:
 def _estimate(mesh, A, config, data, carry):
     sol = _SOLVERS[config.method](mesh, A, data, carry)
     traces = edge_traces(mesh, A, sol, data)
-    if config.method == "nonconforming":
-        fields = [recover(mesh, A, traces, "nonconforming", fam, carry=carry)
-                  for fam in config.family.split("-")]
-    else:
-        fields = recover(mesh, A, traces, config.method, config.family, carry=carry)
+    fields = [recover(mesh, A, traces, config.method, fam, carry=carry)
+              for fam in config.family.split("-")]
     del traces  # the indicators read only the recovered fields
     # the weights c only apply to the nonconforming pair
     return sol, indicators(mesh, A, fields, config.method, c=(config.c1, 1.0 - config.c1))
@@ -210,10 +201,8 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
                 mesh, A, sol, data.exact_grad, data.singular_points
             )
             eff = ind.eta_global / err if err > 0 else None
-        try:
-            h_f = oscillation(mesh, A, data.f)[0]
-        except ValueError:
-            h_f = None
+        # the oscillation is defined for a scalar coefficient only
+        h_f = None if A.scalar is None else oscillation(mesh, A, data.f)[0]
 
         dofs = count_dofs(mesh, config.method)
         history.records.append(

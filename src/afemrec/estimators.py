@@ -15,10 +15,11 @@ and the true energy error against a known exact gradient.
 
 All integrals of the piecewise-linear correction fields are exact; the true
 energy error uses a degree-5 quadrature with four levels of dyadic
-subdivision on the elements that have a singular point as a vertex or
-contain it.  That selection uses exact vertex equality and a barycentric
-containment test, with no distance tolerance, so it is scale-invariant;
-neighbouring elements keep the plain 7-point rule.
+subdivision on the elements that have a singular point as a vertex or,
+when the point is no vertex, contain it.  That selection uses exact vertex
+equality and a barycentric containment test, with no distance tolerance,
+so it is scale-invariant; neighbouring elements keep the plain 7-point
+rule.
 
 Both the true error and the oscillation integrate through constant
 barycentric tables: the 7-point rule (7, 3) on regular elements, and on
@@ -181,11 +182,14 @@ def residual_edge_estimator(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    el_sq = np.zeros(mesh.n_triangles)
     share = np.where(lab == INTERIOR, 0.5, 1.0) * sq
-    np.add.at(el_sq, mesh.edge_tris[:, 0], share)
     ie = np.flatnonzero(lab == INTERIOR)
-    np.add.at(el_sq, mesh.edge_tris[ie, 1], share[ie])
+    # the K- shares, then the K+ shares, each in edge order
+    el_sq = np.bincount(
+        np.concatenate([mesh.edge_tris[:, 0], mesh.edge_tris[ie, 1]]),
+        np.concatenate([share, share[ie]]),
+        minlength=mesh.n_triangles,
+    )
     return IndicatorSet(
         method=method,
         family="residual",
@@ -220,11 +224,11 @@ _SINGULAR_BARY = (TRI_QUAD_BARY @ _dyadic_bary(_SINGULAR_LEVELS)).reshape(-1, 3)
 _SINGULAR_WEIGHTS = np.tile(TRI_QUAD_WEIGHTS, 4**_SINGULAR_LEVELS) / 4**_SINGULAR_LEVELS
 
 
-def _bary_points(mesh: Mesh, tris, bary: np.ndarray):
+def _bary_points(mesh: Mesh, tv, bary: np.ndarray):
     """Physical coordinates ``x, y``, each (m, q), of the barycentric points
-    ``bary`` (q, 3) on the elements ``tris``."""
-    tv = mesh.triangles[tris]
-    return mesh.vertices[tv, 0] @ bary.T, mesh.vertices[tv, 1] @ bary.T
+    ``bary`` (q, 3) on the triangles with vertex ids ``tv`` (m, 3)."""
+    v = mesh.vertices
+    return np.take(v[:, 0], tv) @ bary.T, np.take(v[:, 1], tv) @ bary.T
 
 
 def oscillation(mesh: Mesh, A: CoefficientField, f):
@@ -236,7 +240,7 @@ def oscillation(mesh: Mesh, A: CoefficientField, f):
     alpha = A.require_scalar()
     dev_sq = np.empty(mesh.n_triangles)
     for b in _blocks(mesh.n_triangles):
-        x, y = _bary_points(mesh, b, TRI_QUAD_BARY)
+        x, y = _bary_points(mesh, mesh.triangles[b], TRI_QUAD_BARY)
         vals = np.asarray(f(x, y), dtype=float)
         mean = vals @ TRI_QUAD_WEIGHTS
         dev_sq[b] = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area[b]
@@ -245,37 +249,21 @@ def oscillation(mesh: Mesh, A: CoefficientField, f):
 
 
 def _touches_point(mesh: Mesh, p) -> np.ndarray:
-    """Elements having ``p`` as a vertex or containing it in their closed
-    triangle.
+    """Elements having ``p`` as a vertex or, when ``p`` is no vertex,
+    containing it in their closed triangle.
 
     The vertex test is exact coordinate equality and the containment test
     is barycentric, so both are dimensionless: the selection does not
     change when the mesh and ``p`` are scaled together, however fine the
-    mesh is graded.  Both run only on the candidates whose bounding box,
-    widened by ``1e-10`` times the largest element diameter, holds ``p``;
-    an element outside that box has a barycentric coordinate of ``p``
-    below ``-1e-11``, so no element passing the tests is left out.
+    mesh is graded.
     """
     p = np.asarray(p, dtype=float)
-    margin = 1e-10 * mesh.tri_diam.max(initial=0.0)
-    # one bit per side of the widened box around p that a vertex lies
-    # beyond; the box misses a triangle whose three vertices share a bit
-    v = mesh.vertices
-    code = (
-        (v[:, 0] < p[0] - margin)
-        | (v[:, 0] > p[0] + margin) << 1
-        | (v[:, 1] < p[1] - margin) << 2
-        | (v[:, 1] > p[1] + margin) << 3
-    ).astype(np.uint8)
-    c = code[mesh.triangles]
-    cand = np.flatnonzero((c[:, 0] & c[:, 1] & c[:, 2]) == 0)
-    coords = v[mesh.triangles[cand]]
-    vertex = (coords == p).all(axis=2).any(axis=1)
-    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda[cand], p - coords)
-    inside = (lam > -1e-12).all(axis=1)
-    out = np.zeros(mesh.n_triangles, dtype=bool)
-    out[cand] = vertex | inside
-    return out
+    v, tris = mesh.vertices, mesh.triangles
+    at = (v[:, 0] == p[0]) & (v[:, 1] == p[1])
+    if at.any():
+        return at[tris[:, 0]] | at[tris[:, 1]] | at[tris[:, 2]]
+    lam = 1.0 + np.einsum("tvd,tvd->tv", mesh.grad_lambda, p - mesh.tri_coords())
+    return (lam > -1e-12).all(axis=1)
 
 
 def true_energy_error(
@@ -291,15 +279,15 @@ def true_energy_error(
     nonconforming methods, ``||A^{-1/2}(sigma - sigma_m)||`` with
     ``sigma = -A grad u`` for the mixed method.  Uses the 7-point degree-5
     rule.  An element is singular when a singular point is one of its
-    vertices (exact coordinate equality) or lies in its closed triangle (a
-    barycentric test); there is no distance tolerance, so the selection is
-    the same at every mesh scale.  Singular elements are subdivided
-    dyadically four levels first: one (1792, 3) barycentric table holds the
-    7-point rule on each of the 256 sub-triangles of the reference
-    triangle, with weights ``tile(TRI_QUAD_WEIGHTS, 256) / 256``.  Their
-    neighbours keep the plain 7-point rule, which on graded Kellogg meshes
-    leaves a relative quadrature error of up to about 5e-5 against a
-    six-level reference.
+    vertices (exact coordinate equality) or, for a point that is no
+    vertex, lies in its closed triangle (a barycentric test); there is no
+    distance tolerance, so the selection is the same at every mesh scale.
+    Singular elements are subdivided dyadically four levels first: one
+    (1792, 3) barycentric table holds the 7-point rule on each of the 256
+    sub-triangles of the reference triangle, with weights
+    ``tile(TRI_QUAD_WEIGHTS, 256) / 256``.  Their neighbours keep the plain
+    7-point rule, which on graded Kellogg meshes leaves a relative
+    quadrature error of up to about 5e-5 against a six-level reference.
     """
     if exact_grad is None:
         raise ValueError("true_energy_error requires the exact gradient")
@@ -344,25 +332,25 @@ def _energy_error_density(mesh, A, field, exact_grad, tris, bary, weights) -> np
     mixed flux in vertex-vector form (nt, 3, 2), which the same table
     evaluates at the points.
     """
-    x, y = _bary_points(mesh, tris, bary)
+    x, y = _bary_points(mesh, np.take(mesh.triangles, tris, axis=0), bary)
     gx, gy = exact_grad(x, y)
     gx, gy = np.asarray(gx), np.asarray(gy)  # (m, q)
-    a = A.tensor[tris]
+    a = np.take(A.tensor, tris, axis=0)
     if field.ndim == 2:
-        grad_h = field[tris]
+        grad_h = np.take(field, tris, axis=0)
         dx = gx - grad_h[:, 0, None]
         dy = gy - grad_h[:, 1, None]
         w = a
     else:
-        flux = field[tris]
+        flux = np.take(field, tris, axis=0)
         sx = -(a[:, 0, 0, None] * gx + a[:, 0, 1, None] * gy)
         sy = -(a[:, 1, 0, None] * gx + a[:, 1, 1, None] * gy)
         dx = sx - flux[:, :, 0] @ bary.T
         dy = sy - flux[:, :, 1] @ bary.T
-        w = A.inv[tris]
+        w = np.take(A.inv, tris, axis=0)
     integ = (
         w[:, 0, 0, None] * dx**2
         + (w[:, 0, 1] + w[:, 1, 0])[:, None] * dx * dy
         + w[:, 1, 1, None] * dy**2
     )
-    return integ @ weights * mesh.tri_area[tris]
+    return integ @ weights * np.take(mesh.tri_area, tris)

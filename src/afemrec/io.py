@@ -60,6 +60,8 @@ def read_history_csv(path):
     names = CSV_HEADER.split(",")
     for ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != len(names):
+            raise ValueError(f"history row {ln!r} has {len(parts)} fields, not {len(names)}")
         row = {}
         for name, part in zip(names, parts):
             if part == "":

@@ -300,14 +300,12 @@ class Mesh:
 
     def tri_edge_midpoints(self):
         """(nt, 3, 2) midpoint of the edge opposite each local vertex."""
-        c = self.tri_coords()
-        return 0.5 * (np.take(c, [1, 2, 0], axis=1) + np.take(c, [2, 0, 1], axis=1))
+        return self.edge_midpoints(self.tri_edges)
 
     def edge_midpoints(self, eids=slice(None)):
-        """(m, 2) midpoints of the edges ``eids`` (default: all)."""
-        ends = self.edges[eids]
-        v = self.vertices
-        return 0.5 * (np.take(v, ends[:, 0], axis=0) + np.take(v, ends[:, 1], axis=0))
+        """(..., 2) midpoints of the edges ``eids`` (default: all)."""
+        v, (s, e) = self.vertices, self.edges.T
+        return 0.5 * (np.take(v, s[eids], axis=0) + np.take(v, e[eids], axis=0))
 
     def tri_barycenters(self):
         return self.tri_coords().mean(axis=1)
@@ -457,11 +455,14 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     each edge are the parent's bit for bit, and an adaptive run carries the
     element blocks of such triangles over (see
     :class:`afemrec.basis.ElementCarry`).
-    Returns ``mesh`` itself when nothing is marked.
+    Returns ``mesh`` itself when nothing is marked; raises MeshError unless
+    the marks are integer element ids of ``mesh``.
     """
-    marked = np.asarray(marked_elements, dtype=np.int64)
+    marked = np.asarray(marked_elements)
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise MeshError("marked elements must be integer element ids")
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise MeshError("marked element id out of range")
 
@@ -621,37 +622,27 @@ def read_mesh_text(path) -> Mesh:
     """Read the plain-text mesh format written by :func:`write_mesh_text`."""
     with open(path) as fh:
         tokens = fh.read().split()
-    it = iter(tokens)
     try:
-        nv, nt, nb = int(next(it)), int(next(it)), int(next(it))
+        nv, nt, nb = map(int, tokens[:3])
         # the counts size the arrays, so they must fit the records present
         if min(nv, nt, nb) < 0:
             raise MeshError("negative record count in the mesh header")
-        if 3 + 2 * nv + 4 * nt + 3 * nb > len(tokens):
+        tri_at, rec_at = 3 + 2 * nv, 3 + 2 * nv + 4 * nt
+        if rec_at + 3 * nb > len(tokens):
             raise MeshError("truncated mesh file")
-        vertices = np.array(
-            [[float(next(it)), float(next(it))] for _ in range(nv)]
-        )
-        tris = np.empty((nt, 3), dtype=np.int64)
-        regions = np.empty(nt, dtype=np.int64)
-        for t in range(nt):
-            tris[t] = [int(next(it)), int(next(it)), int(next(it))]
-            regions[t] = int(next(it))
-        records = np.empty((nb, 3), dtype=np.int64)
-        for k in range(nb):
-            a, b = int(next(it)), int(next(it))
-            lab = next(it)
-            if lab not in _CHAR_LABEL:
-                raise MeshError(f"unknown boundary label {lab!r}")
-            records[k] = a, b, _CHAR_LABEL[lab]
-    except StopIteration:
-        raise MeshError("truncated mesh file") from None
+        vertices = np.array(tokens[3:tri_at], dtype=float).reshape(nv, 2)
+        cells = np.array(tokens[tri_at:rec_at], dtype=np.int64).reshape(nt, 4)
+        records = np.array(tokens[rec_at : rec_at + 3 * nb]).reshape(nb, 3)
+        ends = records[:, :2].astype(np.int64)
+        labels = [_CHAR_LABEL[c] for c in records[:, 2].tolist()]
+    except KeyError as exc:
+        raise MeshError(f"unknown boundary label {exc.args[0]!r}") from None
     except ValueError as exc:
         raise MeshError(f"malformed mesh file: {exc}") from None
 
     # vertex ids are preserved, so labels resolve directly by id pair
-    vertices, tris, ref_local = _prepare(vertices, tris)
-    mesh = Mesh(vertices, tris, regions, ref_local, (records[:, :2], records[:, 2]))
+    vertices, tris, ref_local = _prepare(vertices, cells[:, :3])
+    mesh = Mesh(vertices, tris, cells[:, 3], ref_local, (ends, labels))
     # every boundary edge has a label, so a count match leaves no repeated record
     if nb != mesh.n_edges - len(mesh.interior_edges):
         raise MeshError("each boundary edge needs exactly one E record")

@@ -87,14 +87,18 @@ __all__ = [
     "VALID_PAIRS",
 ]
 
+# each method's estimator recoveries: a family, or a flux-gradient pair
+FAMILY_CHOICES = {
+    "conforming": ("rt", "bdm"),
+    "mixed": ("nd",),
+    "nonconforming": ("rt-ne", "bdm-nd"),
+}
+
 VALID_PAIRS = {
-    ("conforming", "rt"),
-    ("conforming", "bdm"),
-    ("mixed", "nd"),
-    ("nonconforming", "rt"),
-    ("nonconforming", "bdm"),
-    ("nonconforming", "ne"),
-    ("nonconforming", "nd"),
+    (method, family)
+    for method, choices in FAMILY_CHOICES.items()
+    for choice in choices
+    for family in choice.split("-")
 }
 
 
@@ -105,8 +109,6 @@ class RecoveryError(RuntimeError):
 # ----------------------------------------------------------------------
 # traces and jumps
 
-# kinds of side traces each method produces
-_KINDS = {"conforming": ("flux",), "nonconforming": ("flux", "gradient"), "mixed": ("gradient",)}
 # label of the edges whose recovered dofs equal the boundary data
 _DATA_LABEL = {"flux": NEUMANN, "gradient": DIRICHLET}
 # endpoint-pair trace -> dof values: the first entry for RT/NE, the pair for
@@ -162,9 +164,11 @@ def compute_jumps(mesh: Mesh, A: CoefficientField, traces: EdgeTraces, method: s
         raise ValueError(f"traces are for {traces.method!r}, not {method!r}")
     interior = mesh.edge_label == INTERIOR
     out = JumpSet(method=method)
-    for kind in _KINDS[method]:
+    for kind, data_label in _DATA_LABEL.items():
         sides, data = _side_traces(traces, kind)
-        mask = interior | (mesh.edge_label == _DATA_LABEL[kind])
+        if sides is None:  # the method has no such trace
+            continue
+        mask = interior | (mesh.edge_label == data_label)
         other = np.where(interior[:, None], sides[:, 1], data[:, None])
         jump = np.where(mask[:, None], sides[:, 0] - other, np.nan)
         if kind == "flux":

@@ -30,7 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import ElementCarry, _accumulate_vertex_vectors, _fill_rows, _side_ends, _side_table
+from .basis import (
+    ElementCarry, _accumulate_vertex_vectors, _check_spd, _fill_rows, _side_ends, _side_table
+)
 from .mesh import Mesh
 
 __all__ = [
@@ -60,14 +62,7 @@ class CoefficientField:
 
     def __init__(self, tensor: np.ndarray):
         tensor = np.asarray(tensor, dtype=float)
-        if tensor.ndim != 3 or tensor.shape[1:] != (2, 2):
-            raise ValueError("coefficient tensor must have shape (nt, 2, 2)")
-        scale = max(np.abs(tensor).max(), 1.0)
-        if np.abs(tensor[:, 0, 1] - tensor[:, 1, 0]).max() > 1e-14 * scale:
-            raise ValueError("coefficient tensor is not symmetric")
-        det = tensor[:, 0, 0] * tensor[:, 1, 1] - tensor[:, 0, 1] * tensor[:, 1, 0]
-        if np.any(tensor[:, 0, 0] <= 0) or np.any(det <= 0):
-            raise ValueError("coefficient tensor is not positive definite")
+        _check_spd(tensor)
         self.tensor = tensor
         off = tensor[:, [0, 1], [1, 0]]
         if (
@@ -80,6 +75,7 @@ class CoefficientField:
             self.inv[:, 0, 0] = self.inv[:, 1, 1] = 1.0 / tensor[:, 0, 0]
         else:
             self.inv = np.linalg.inv(tensor)
+        scale = max(np.abs(tensor).max(), 1.0)
         iso = (
             np.abs(tensor[:, 0, 1]).max() <= 1e-14 * scale
             and np.abs(tensor[:, 0, 0] - tensor[:, 1, 1]).max() <= 1e-14 * scale
@@ -321,14 +317,12 @@ def solve_conforming(
     # rest; the vertex loads are added for l = 0, 1, 2 in turn, in element
     # order, which is bincount's input order
     loads = np.stack([0.5 * w * (fm.sum(axis=1) - fm[:, l]) for l in range(3)])
-    b = np.bincount(mesh.triangles.T.ravel(), loads.ravel(), minlength=nv)
-    del fm, loads
-
-    gN = _neumann_values(mesh, data)
     neu = mesh.neumann_edges
-    # half of each edge's boundary integral to each endpoint, in edge order
-    half = gN[neu] * mesh.edge_length[neu] / 2.0
-    np.subtract.at(b, mesh.edges[neu].ravel(), np.repeat(half, 2))
+    # then half of each Neumann edge's outflow from each endpoint, in edge order
+    half = _neumann_values(mesh, data)[neu] * mesh.edge_length[neu] / 2.0
+    idx = np.concatenate([mesh.triangles.T.ravel(), mesh.edges[neu].ravel()])
+    b = np.bincount(idx, np.concatenate([loads.ravel(), -np.repeat(half, 2)]), minlength=nv)
+    del fm, loads, idx
 
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
@@ -342,12 +336,11 @@ def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads
     (nt, 3): the flux ``g_N h`` is taken out on Neumann edges and ``g_D``
     fixed at the Dirichlet edge midpoints."""
     ne = mesh.n_edges
-    # the loads of slot 0, 1, 2 in turn, in element order
-    b = np.bincount(mesh.tri_edges.T.ravel(), loads.T.ravel(), minlength=ne)
-
-    gN = _neumann_values(mesh, data)
     neu = mesh.neumann_edges
-    b[neu] -= gN[neu] * mesh.edge_length[neu]
+    outflow = _neumann_values(mesh, data)[neu] * mesh.edge_length[neu]
+    # the loads of slot 0, 1, 2 in turn, in element order, then the outflow
+    idx = np.concatenate([mesh.tri_edges.T.ravel(), neu])
+    b = np.bincount(idx, np.concatenate([loads.T.ravel(), -outflow]), minlength=ne)
 
     u = np.zeros(ne)
     fixed = mesh.dirichlet_edges
@@ -386,8 +379,9 @@ def solve_mixed(
     flux = -np.einsum("tij,tj->ti", A.tensor, cr.element_gradients())
     km = mesh.edge_tris[:, 0]
     # (x - x_K) . n_F = H_F / 3 on the edge, H_F the height of K- over it
-    height = 2.0 * mesh.tri_area[km] / mesh.edge_length
-    sigma = (flux[km] * mesh.edge_normal).sum(axis=1) + fbar[km] * height / 6.0
+    height = 2.0 * np.take(mesh.tri_area, km) / mesh.edge_length
+    sigma = (np.take(flux, km, axis=0) * mesh.edge_normal).sum(axis=1)
+    sigma += np.take(fbar, km) * height / 6.0
     neu = mesh.neumann_edges
     sigma[neu] = _neumann_values(mesh, data)[neu]
 

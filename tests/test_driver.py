@@ -6,6 +6,7 @@ import pytest
 import afemrec.basis
 import afemrec.driver
 from afemrec.driver import AfemConfig, count_dofs, dorfler_mark, run_afem
+from afemrec.io import write_history_csv
 from afemrec.mesh import initial_kellogg_mesh, unit_square_mesh
 from afemrec.problems import manufactured_affine
 
@@ -213,6 +214,25 @@ def test_uniform_run(kellogg):
     tris = [r.n_triangles for r in h.records]
     for a, b in zip(tris, tris[1:]):
         assert b == 2 * a
+
+
+def test_oscillation_errors_propagate(kellogg, monkeypatch):
+    # only a tensor coefficient leaves the oscillation undefined; any other
+    # failure of the term (faulty data, a broadcasting error) must surface
+    def faulty(mesh, A, f):
+        raise ValueError("faulty source term")
+
+    monkeypatch.setattr(afemrec.driver, "oscillation", faulty)
+    with pytest.raises(ValueError, match="faulty source term"):
+        run_afem(AfemConfig(problem=kellogg, initial_n=4, max_dof=100))
+
+
+def test_tensor_coefficient_records_no_oscillation(tmp_path):
+    p = manufactured_affine(tensor=[[2.0, 0.5], [0.5, 1.0]])
+    h = run_afem(AfemConfig(problem=p, initial_n=2))
+    assert [r.h_f for r in h.records] == [None]
+    write_history_csv(h, tmp_path / "h.csv")
+    assert (tmp_path / "h.csv").read_text().splitlines()[1].endswith(",")
 
 
 def test_slope_computation():

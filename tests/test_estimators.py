@@ -314,10 +314,10 @@ def _graded_kellogg_mesh():
 
 
 def test_touches_point_matches_per_vertex_loop():
-    # the candidate-limited vertex/barycentric test against a per-vertex
-    # loop over every element, on a mesh graded towards the origin and on
-    # its copy scaled by 2^-50: at the origin (a vertex), inside an element,
-    # on an edge and just outside an element within the tolerance
+    # the vertex-id / barycentric selection against a per-vertex loop over
+    # every element, on a mesh graded towards the origin and on its copy
+    # scaled by 2^-50: at the origin (a vertex), inside an element, on an
+    # edge and just outside an element within the tolerance
     graded = _graded_kellogg_mesh()
     for s in (1.0, 2.0**-50):
         mesh = _scaled(graded, s)

@@ -59,6 +59,14 @@ def test_history_csv_empty_effectivity_without_exact(tmp_path):
     assert rows[0]["true_error"] is None
 
 
+@pytest.mark.parametrize("row", ["1,9", "1,9,0.5,0.4,1.25,,7"])
+def test_history_csv_rejects_rows_of_another_width(tmp_path, row):
+    path = tmp_path / "short.csv"
+    path.write_text("iter,dofs,eta,true_error,effectivity,h_f\n1,9,0.5,0.4,1.25,\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_history_csv(path)
+
+
 def test_svg_two_triangles(tmp_path, square2):
     path = tmp_path / "mesh.svg"
     write_mesh_svg(square2, path)
@@ -115,6 +123,39 @@ def test_writer_bytes_pinned(tmp_path):
     }
     for name, digest in expected.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of the three output files of `afemrec --max-dof 2000` for one
+# recovery of each method, recorded before the second implementations of
+# the triangle geometry, SPD check, scatter-adds and mesh-text parser were
+# folded into one kernel each; a change that moves bits on purpose
+# re-records them and lists the old and new values
+CLI_BYTES = {
+    ("conforming", "rt"): {
+        "history.csv": "2fe528a02ed5a89f1bae060a36ee3494c11bae9e0ce85084abf22e6d7aade567",
+        "mesh_final.txt": "c24fd89ce739768650aa03038ebff6edcf4583927e630aa32b24f87293377d09",
+        "mesh_final.svg": "49d2210bbc27ad6f6ed3cda6d9a603f0d521102ce5e00d6b2bd62d9cd975a117",
+    },
+    ("mixed", "nd"): {
+        "history.csv": "ee45ba6cf041c00eb62c6ee487c6f6b670fd2de6ac213f9966b7b86af7b18255",
+        "mesh_final.txt": "0d2fe532b473fe5f928aac03b53dcdf5c674df1152d636909735a1420006484f",
+        "mesh_final.svg": "59deb19c37de15ca345fe803fc408bab2fc91365983733df4da8556c24ca37e2",
+    },
+    ("nonconforming", "bdm-nd"): {
+        "history.csv": "851716dca2e01d25e7b751b7a261b9c560a1c8fea94c97a456faf8fd3a3191aa",
+        "mesh_final.txt": "0da6750c4836baa1dcee271bdacb15921f2172ca34945126fe9dada3f45a79d2",
+        "mesh_final.svg": "f10d58f9c9d5dacaf3bf26ddfe0942881d4d27768e554bc35b64491319f89a56",
+    },
+}
+
+
+@pytest.mark.parametrize("method,recovery", list(CLI_BYTES), ids="-".join)
+def test_cli_output_bytes_pinned(tmp_path, method, recovery):
+    out = tmp_path / "out"
+    argv = ["--method", method, "--recovery", recovery, "--max-dof", "2000", "--quiet"]
+    assert main(argv + ["--out", str(out)]) == 0
+    for name, digest in CLI_BYTES[method, recovery].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_parse_cli_defaults():

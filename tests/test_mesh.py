@@ -158,6 +158,18 @@ def test_refine_bad_marks(square2):
         refine(square2, [5])
 
 
+def test_refine_takes_only_integer_ids():
+    # a mask or float ids cast to int64 would bisect other elements
+    mesh = initial_kellogg_mesh(4)
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[31] = True
+    for marks in (mask, [1.9], np.array([1.0])):
+        with pytest.raises(MeshError):
+            refine(mesh, marks)
+    assert refine(mesh, []) is mesh
+    assert refine(mesh, np.array([], dtype=np.int64)) is mesh
+
+
 def test_uniform_refinement_doubles(square2):
     m = square2
     for k in range(4):
