@@ -637,7 +637,8 @@ def read_mesh_text(path) -> Mesh:
         labels = [_CHAR_LABEL[c] for c in records[:, 2].tolist()]
     except KeyError as exc:
         raise MeshError(f"unknown boundary label {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer record beyond int64
         raise MeshError(f"malformed mesh file: {exc}") from None
 
     # vertex ids are preserved, so labels resolve directly by id pair

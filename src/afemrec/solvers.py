@@ -10,6 +10,10 @@ condenses each element onto one multiplier per edge, solved like the
 Crouzeix-Raviart edge values, and recovers flux and value elementwise.
 Its flux's vertex-vector form is built once per solution, by the side
 table and accumulator of :mod:`afemrec.basis` that the recoveries use.
+The Crouzeix-Raviart edge systems are factored as SPD (SuperLU,
+minimum-degree ordering, no pivoting); the P1 systems still take the
+general LU of ``spsolve``.  Both share one finite-value and 1e-10
+relative-residual check.
 
 All data callables (``f``, ``g_D``, ``g_N``, exact solution and gradient)
 take coordinate arrays ``(x, y)`` and must broadcast.  Dirichlet data is
@@ -236,10 +240,40 @@ def _dirichlet_tangential_slope(mesh: Mesh, data: ProblemData) -> np.ndarray:
     return dg
 
 
-def _solve_checked(mat, rhs, what):
+def _solve_checked(mat, rhs, what, spd):
     """Sparse direct solve held to finite values and a 1e-10 relative
-    residual."""
-    x = spla.spsolve(mat, rhs)
+    residual.
+
+    ``spd`` factors ``mat`` as symmetric positive definite: SuperLU on the
+    minimum-degree ordering of ``A^T + A`` without pivoting, whose factor
+    is a temporary of this call.  Otherwise ``spsolve`` factors it as a
+    general matrix on the COLAMD ordering, and a singular matrix gives
+    non-finite values.  Either way a singular system raises
+    :class:`SolverError` naming ``what``.
+    """
+    try:
+        if spd:
+            # (relax, panel_size) = (1, 4) is pinned.  Relaxed supernodes
+            # keep the fill but made the 98k-edge Crouzeix-Raviart
+            # factorization 9x slower at the default relax and 8x at
+            # relax=4, and scipy 1.17.1's splu has crashed at interpreter
+            # exit with (40, 32), (10, 32), and (20, 4) then (40, 4)
+            x = spla.splu(
+                mat,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                relax=1,
+                panel_size=4,
+                options=dict(SymmetricMode=True),
+            ).solve(rhs)
+        else:
+            # the P1 systems stay on the general LU, whose rounding the
+            # adaptive runs' Doerfler ties depend on; this branch is deleted
+            # once marking is robust to ties (ROADMAP item 2) and P1 moves
+            # to the SPD factorization
+            x = spla.spsolve(mat, rhs)
+    except RuntimeError as exc:
+        raise SolverError(f"{what} factorization failed: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{what} solve returned non-finite values")
     res = mat @ x - rhs
@@ -280,11 +314,11 @@ def _p1_stiffness(
     return out
 
 
-def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what, carry):
+def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what, carry, spd):
     """Solve ``K u = b`` for the dofs not in ``fixed``, whose values ``u``
     already holds; returns ``u``.  ``K`` is assembled from ``scale``, a
     power of two, times the P1 stiffness blocks on the element dof map
-    ``dofs``.
+    ``dofs``, and factored as chosen by ``spd`` (see :func:`_solve_checked`).
 
     Only the free rows of ``K`` outlive the assembly and only the free block
     reaches the factorization, so neither the full matrix nor its triplets
@@ -298,7 +332,7 @@ def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what, carry):
         K.data *= scale
         rhs = b[free] - K[:, fixed] @ u[fixed]
         K = K[:, free].tocsc()
-        u[free] = _solve_checked(K, rhs, what)
+        u[free] = _solve_checked(K, rhs, what, spd)
     return u
 
 
@@ -327,7 +361,9 @@ def solve_conforming(
     u = np.zeros(nv)
     fixed = mesh.dirichlet_vertices
     u[fixed] = _eval(data.g_D, mesh.vertices[fixed])
-    u = _solve_stiffness(mesh, A, mesh.triangles, 1.0, b, u, fixed, "conforming", carry)
+    u = _solve_stiffness(
+        mesh, A, mesh.triangles, 1.0, b, u, fixed, "conforming", carry, spd=False
+    )
     return DiscreteSolution(method="conforming", mesh=mesh, u_vertex=u)
 
 
@@ -346,7 +382,7 @@ def _solve_edge_system(mesh: Mesh, A: CoefficientField, data: ProblemData, loads
     fixed = mesh.dirichlet_edges
     u[fixed] = _eval(data.g_D, mesh.edge_midpoints(fixed))
     # grad of the CR basis on edge l is -2 grad lambda_l
-    return _solve_stiffness(mesh, A, mesh.tri_edges, 4.0, b, u, fixed, what, carry)
+    return _solve_stiffness(mesh, A, mesh.tri_edges, 4.0, b, u, fixed, what, carry, spd=True)
 
 
 def solve_nonconforming(

@@ -2,8 +2,10 @@
 
 ``data/golden_history.json`` holds, for each of the five method/recovery
 pairings run to 1000 dofs, every iteration's ``[dofs, eta, true_error]``
-as produced before the basis, jump and Gram kernels were merged.  Dofs
-must match exactly (so the iteration count does too) and the estimator and
+as produced before the basis, jump and Gram kernels were merged (the two
+nonconforming entries as produced once the Crouzeix-Raviart systems were
+factored as SPD, which moves Doerfler near-ties between mirror-image
+elements).  Dofs must match exactly (so the iteration count does too) and the estimator and
 true error to 12 significant digits.
 """
 

@@ -344,6 +344,22 @@ def test_mesh_text_rejects_malformed(tmp_path):
             read_mesh_text(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 1 3\n0 0\n1 0\n0 1\n0 1 99999999999999999999 0\n0 1 D\n1 2 D\n2 0 D\n",
+        "3 1 3\n0 0\n1 0\n0 1\n0 1 2 0\n0 99999999999999999999 D\n1 2 D\n2 0 D\n",
+        "99999999999999999999 1 3\n0 0\n1 0\n0 1\n0 1 2 0\n0 1 D\n1 2 D\n2 0 D\n",
+    ],
+    ids=["triangle", "edge", "header"],
+)
+def test_mesh_text_rejects_integers_beyond_int64(tmp_path, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError):
+        read_mesh_text(path)
+
+
 @pytest.mark.parametrize("tri", [[0, 1, 7], [0, 1, -1]])
 def test_build_rejects_unknown_vertex(tri):
     with pytest.raises(MeshError):

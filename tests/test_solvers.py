@@ -1,10 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from afemrec import solvers
 from afemrec.basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
+from afemrec.driver import AfemConfig, run_afem
 from afemrec.mesh import build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
 from afemrec.problems import kellogg_problem
 from afemrec.solvers import (
@@ -446,3 +455,91 @@ def test_mixed_flux_vertex_vectors_carry_edge_fluxes():
         for loc in ((k + 1 + side) % 3, (k + 2 - side) % 3):
             trace = (C[t, loc] * mesh.edge_normal[F]).sum(axis=1)
             assert np.abs(trace - sol.flux_edge[F]).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize("spd", [True, False], ids=["spd", "general"])
+def test_singular_system_raises_solver_error(spd):
+    """A singular matrix raises SolverError naming the system on both
+    factorizations: SuperLU's "exactly singular" error on the SPD one, the
+    non-finite values of spsolve on the general one."""
+    mat = sp.csc_matrix(np.ones((2, 2)))
+    with pytest.raises(SolverError, match="^singular-2x2 "):
+        solvers._solve_checked(mat, np.array([1.0, 2.0]), "singular-2x2", spd)
+
+
+def _uniform_kellogg(kellogg, rounds):
+    mesh = kellogg.mesh_factory(8)
+    for _ in range(rounds):
+        mesh = refine(mesh, np.arange(mesh.n_triangles))
+    return mesh, kellogg.coefficient(mesh), kellogg.data
+
+
+def _adaptive_kellogg_1e4():
+    """Final mesh of an adaptive R = 1e4 nonconforming run to 2000 dofs."""
+    problem = kellogg_problem(R=1e4)
+    cfg = AfemConfig(problem=problem, method="nonconforming", family="rt-ne", max_dof=2000)
+    mesh = run_afem(cfg).final_mesh
+    return mesh, problem.coefficient(mesh), problem.data
+
+
+def test_edge_solves_match_spsolve(kellogg, monkeypatch):
+    """The SPD factorization of the Crouzeix-Raviart edge systems (of the
+    nonconforming and the mixed method) agrees with spsolve to 1e-10
+    relative in the max norm, on uniform and strongly graded Kellogg meshes
+    and on a random-tensor square with Neumann edges; the P1 system keeps
+    spsolve's bits."""
+    meshes = [_uniform_kellogg(kellogg, 6), _adaptive_kellogg_1e4()]
+    assert meshes[1][0].tri_diam.min() < 1e-10
+    mesh, A = _random_tensor_mesh()
+    meshes.append((mesh, A, _data()))
+    checked = solvers._solve_checked
+    seen = []
+
+    def against_spsolve(mat, rhs, what, spd):
+        x = checked(mat, rhs, what, spd)
+        ref = spla.spsolve(mat, rhs)
+        seen.append((what, spd, np.abs(x - ref).max() / np.abs(ref).max()))
+        return x
+
+    monkeypatch.setattr(solvers, "_solve_checked", against_spsolve)
+    for mesh, A, data in meshes:
+        seen.clear()
+        for solve in SOLVERS.values():
+            solve(mesh, A, data)
+        dist = {what: (spd, rel) for what, spd, rel in seen}
+        assert dist["conforming"] == (False, 0.0)
+        for what in ("mixed", "nonconforming"):
+            spd, rel = dist[what]
+            assert spd and rel < 1e-10, (mesh.n_triangles, what, rel)
+
+
+def test_solves_exit_cleanly_in_a_fresh_interpreter():
+    """SuperLU with relaxed supernodes has corrupted the heap so that the
+    interpreter crashed at exit; the pinned factorization must leave a
+    process that runs nonconforming and mixed solves with exit code 0 and
+    nothing on stderr."""
+    code = textwrap.dedent(
+        """
+        import numpy as np
+        from afemrec.mesh import refine
+        from afemrec.problems import kellogg_problem
+        from afemrec.solvers import solve_mixed, solve_nonconforming
+
+        problem = kellogg_problem()
+        mesh = problem.mesh_factory(8)
+        for _ in range(6):
+            mesh = refine(mesh, np.arange(mesh.n_triangles))
+        A = problem.coefficient(mesh)
+        for _ in range(2):
+            solve_nonconforming(mesh, A, problem.data)
+            solve_mixed(mesh, A, problem.data)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONFAULTHANDLER="1", PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0 and proc.stderr == "", (proc.returncode, proc.stderr)
