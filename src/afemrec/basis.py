@@ -31,8 +31,9 @@ of every edge, ``_accumulate_vertex_vectors`` sums it into one field per
 element (the mixed flux and the recovered fields alike), ``_weighted_gram``
 gives the Gram blocks and ``_weighted_norm_sq`` the element indicators; the
 per-frame functions below are thin wrappers of them.  ``ElementCarry`` holds
-the element blocks an adaptive run reuses for the triangles refinement kept,
-and ``_fill_rows`` computes the others.
+the element blocks an adaptive run reuses for the triangles refinement kept
+(the estimators' quadrature samples too), and ``_fill_rows`` computes the
+others.
 
 All functions here are pure and safe for unrestricted concurrent use.
 """
@@ -255,13 +256,16 @@ class ElementCarry:
 
     The P1 stiffness blocks and, per local slot, the side Gram blocks of a
     recovery family depend only on a triangle's geometry and coefficient
-    tensor.  A triangle that :func:`afemrec.mesh.refine` kept (its
-    ``tri_origin``) has its parent's geometry and sides bit for bit, so
-    where its tensor row is also bitwise equal to its parent's, its blocks
-    are its parent's.  :meth:`advance` gathers those for the new mesh, and
-    :meth:`blocks` hands each kernel its array with the triangles left to
-    compute.  With nothing carried every block is computed, so a fresh
-    computation is the same path.
+    tensor; the exact gradient at the quadrature points
+    (:func:`afemrec.estimators.true_energy_error`) and the squared data
+    deviations (:func:`afemrec.estimators.oscillation`) only on its
+    geometry and the run's fixed data.  A triangle that
+    :func:`afemrec.mesh.refine` kept (its ``tri_origin``) has its parent's
+    geometry and sides bit for bit, so where its tensor row is also bitwise
+    equal to its parent's, its blocks are its parent's.  :meth:`advance`
+    gathers those for the new mesh, and :meth:`blocks` hands each kernel
+    its array with the triangles left to compute.  With nothing carried
+    every block is computed, so a fresh computation is the same path.
 
     One carry serves one adaptive run; :meth:`advance` moves it to the next
     mesh, which must be the refinement of the previous one.  It holds one
@@ -284,9 +288,12 @@ class ElementCarry:
         if not parent or src is None:
             return
         kept = np.flatnonzero(src >= 0)
-        # bitwise: the raw words of the gathered (hence contiguous) rows
-        same = A.tensor[kept].view(np.uint64) == parent_tensor[src[kept]].view(np.uint64)
-        kept = kept[same.all(axis=(1, 2))]
+        # bitwise: the raw words of the gathered (hence contiguous) rows,
+        # and-ed by column (a reduction over the short row axis is slower)
+        words = [np.take(t.reshape(len(t), 4), r, axis=0).view(np.uint64)
+                 for t, r in ((A.tensor, kept), (parent_tensor, src[kept]))]
+        same = words[0] == words[1]
+        kept = kept[same[:, 0] & same[:, 1] & same[:, 2] & same[:, 3]]
         if not len(kept):
             return
         self._carried[kept] = True
@@ -464,7 +471,14 @@ def _weighted_norm_sq(W, C, area):
     """
     out = np.empty(len(C))
     for b in _blocks(len(C)):
-        q = np.einsum("mij,mvj,mwi->mvw", W[b], C[b], C[b])
+        Wb, Cb = W[b], C[b]
+        # einsum("mij,mvj,mwi->mvw", W, C, C) as products in einsum's order
+        # (i outer, j inner, (W C_v) C_w, added into zeros): the same bits,
+        # signed zeros included, in less time
+        q = np.zeros((len(Cb), 3, 3))
+        for i in range(2):
+            for j in range(2):
+                q += (Wb[:, i, j, None, None] * Cb[:, :, j, None]) * Cb[:, None, :, i]
         out[b] = np.einsum("mvw,vw->m", q, _P1_MASS) * area[b]
     return out
 

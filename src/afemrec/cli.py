@@ -97,15 +97,26 @@ def main(argv=None) -> int:
     config = parse_cli(argv)
     try:
         problem = get_problem(config.afem.problem)
-        history = run_afem(dataclasses.replace(config.afem, problem=problem))
-    except MeshError as exc:  # the problem cannot mesh --initial-n
+        # a bad --initial-n is a usage error before anything is written
+        problem.mesh_factory(config.afem.initial_n)
+    except MeshError as exc:
         print(f"afemrec: error: --initial-n {config.afem.initial_n}: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, RecoveryError, ProblemError, np.linalg.LinAlgError) as exc:
+    except ProblemError as exc:
+        print(f"afemrec: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    # so is an output directory that cannot be made, before the run
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"afemrec: error: --out {config.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    try:
+        history = run_afem(dataclasses.replace(config.afem, problem=problem))
+    except (SolverError, RecoveryError, ProblemError, MeshError, np.linalg.LinAlgError) as exc:
         print(f"afemrec: numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     write_history_csv(history, config.out_dir / "history.csv")
     write_mesh_svg(
         history.final_mesh,

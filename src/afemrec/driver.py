@@ -170,9 +170,11 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
 
     The run's :class:`~afemrec.basis.ElementCarry` carries from one
     iteration to the next only the blocks that depend on a triangle's
-    geometry and coefficient alone: the P1 / Crouzeix-Raviart stiffness
-    blocks, the side Gram blocks of each recovery family per (triangle,
-    slot), and the coefficient tensor rows they were computed with.  A
+    geometry, coefficient and the problem's fixed data alone: the P1 /
+    Crouzeix-Raviart stiffness blocks, the side Gram blocks of each
+    recovery family per (triangle, slot), the exact-gradient samples of the
+    true error, the oscillation's squared data deviations, and the
+    coefficient tensor rows they were computed with.  A
     triangle that refinement kept (``mesh.tri_origin``) and whose tensor
     row is bitwise equal to its parent's reuses its parent's blocks, which
     equal a fresh computation bit for bit; every other block is computed.
@@ -198,11 +200,11 @@ def run_afem(config: AfemConfig) -> ConvergenceHistory:
         err = eff = None
         if data.has_exact:
             err = true_energy_error(
-                mesh, A, sol, data.exact_grad, data.singular_points
+                mesh, A, sol, data.exact_grad, data.singular_points, carry
             )
             eff = ind.eta_global / err if err > 0 else None
         # the oscillation is defined for a scalar coefficient only
-        h_f = None if A.scalar is None else oscillation(mesh, A, data.f)[0]
+        h_f = None if A.scalar is None else oscillation(mesh, A, data.f, carry)[0]
 
         dofs = count_dofs(mesh, config.method)
         history.records.append(

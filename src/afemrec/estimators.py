@@ -27,7 +27,10 @@ singular elements that rule mapped onto the 256 sub-triangles of the
 reference triangle's 4-level subdivision (1792, 3), with weights summing
 to 1.  The quadrature points are one matmul of a table with the element
 vertices, and the mixed flux is evaluated from the same table, so no point
-is located in its element.
+is located in its element.  What depends on an element's geometry alone
+(the exact gradient at its 7 points, its squared data deviation) an
+adaptive run carries over for the triangles refinement kept (see
+:class:`~afemrec.basis.ElementCarry`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TRI_QUAD_BARY, TRI_QUAD_WEIGHTS, _blocks, _weighted_norm_sq
+from .basis import (
+    TRI_QUAD_BARY,
+    TRI_QUAD_WEIGHTS,
+    ElementCarry,
+    _blocks,
+    _fill_rows,
+    _weighted_norm_sq,
+)
 from .mesh import INTERIOR, NEUMANN, Mesh
 from .recovery import RecoveredField, compute_jumps
 from .solvers import CoefficientField, DiscreteSolution, EdgeTraces
@@ -231,19 +241,28 @@ def _bary_points(mesh: Mesh, tv, bary: np.ndarray):
     return np.take(v[:, 0], tv) @ bary.T, np.take(v[:, 1], tv) @ bary.T
 
 
-def oscillation(mesh: Mesh, A: CoefficientField, f):
+def oscillation(mesh: Mesh, A: CoefficientField, f, carry: ElementCarry | None = None):
     """Data oscillation ``H_f`` and its per-element parts.
 
     ``H_{f,K} = h_K / sqrt(alpha_K) * ||f - mean_K f||_{0,K}`` with the mean
-    (P0 projection) and norm both from the 7-point degree-5 rule.
+    (P0 projection) and norm both from the 7-point degree-5 rule.  The
+    squared deviations ``||f - mean_K f||^2`` depend on the triangle's
+    geometry and on ``f`` alone; with ``carry`` (see
+    :class:`~afemrec.basis.ElementCarry`), which must then always be given
+    the same ``f``, the triangles refinement kept take their parent's, and
+    ``carry`` keeps them for the next mesh.
     """
     alpha = A.require_scalar()
-    dev_sq = np.empty(mesh.n_triangles)
-    for b in _blocks(mesh.n_triangles):
-        x, y = _bary_points(mesh, mesh.triangles[b], TRI_QUAD_BARY)
+    carry = ElementCarry() if carry is None else carry
+    dev_sq, todo = carry.blocks("oscillation", (mesh.n_triangles,))
+
+    def kernel(t):
+        x, y = _bary_points(mesh, np.take(mesh.triangles, t, axis=0), TRI_QUAD_BARY)
         vals = np.asarray(f(x, y), dtype=float)
         mean = vals @ TRI_QUAD_WEIGHTS
-        dev_sq[b] = ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * mesh.tri_area[b]
+        return ((vals - mean[:, None]) ** 2) @ TRI_QUAD_WEIGHTS * np.take(mesh.tri_area, t)
+
+    _fill_rows(dev_sq, np.flatnonzero(todo), kernel)
     h_fk = mesh.tri_diam / np.sqrt(alpha) * np.sqrt(np.maximum(dev_sq, 0.0))
     return float(np.sqrt((h_fk**2).sum())), h_fk
 
@@ -272,6 +291,7 @@ def true_energy_error(
     solution: DiscreteSolution,
     exact_grad,
     singular_points=(),
+    carry: ElementCarry | None = None,
 ) -> float:
     """Energy norm of the discretization error against the exact gradient.
 
@@ -288,6 +308,13 @@ def true_energy_error(
     ``tile(TRI_QUAD_WEIGHTS, 256) / 256``.  Their neighbours keep the plain
     7-point rule, which on graded Kellogg meshes leaves a relative
     quadrature error of up to about 5e-5 against a six-level reference.
+
+    The exact gradient at the 7 points of each element depends on the
+    triangle's geometry alone.  With ``carry`` (see
+    :class:`~afemrec.basis.ElementCarry`), which must then always be given
+    the same ``exact_grad``, the triangles refinement kept take their
+    parent's samples, only the others call ``exact_grad``, and ``carry``
+    keeps the samples for the next mesh.
     """
     if exact_grad is None:
         raise ValueError("true_energy_error requires the exact gradient")
@@ -302,39 +329,55 @@ def true_energy_error(
     else:
         field = solution.element_gradients()
 
+    carry = ElementCarry() if carry is None else carry
+    samples, todo = carry.blocks("exact-grad", (mesh.n_triangles, 2, len(TRI_QUAD_BARY)))
+    _fill_rows(
+        samples, np.flatnonzero(todo), lambda t: _exact_grad_at(mesh, exact_grad, t, TRI_QUAD_BARY)
+    )
+
     total = 0.0
     if regular.size:
         # blocks bound the temporaries; each element keeps its bits and the
         # per-element values are summed once, so the total keeps its bits
         vals = np.empty(regular.size)
         for b in _blocks(regular.size):
+            tris = regular[b]
             vals[b] = _energy_error_density(
-                mesh, A, field, exact_grad, regular[b], TRI_QUAD_BARY, TRI_QUAD_WEIGHTS
+                mesh, A, field, np.take(samples, tris, axis=0), tris, TRI_QUAD_BARY,
+                TRI_QUAD_WEIGHTS,
             )
         total += float(vals.sum())
     if singular.size:
         # the few singular elements stay one batch: over 1792 points, a
         # row's matmul rounding depends on its position in the batch
+        grad = _exact_grad_at(mesh, exact_grad, singular, _SINGULAR_BARY)
         total += float(
             _energy_error_density(
-                mesh, A, field, exact_grad, singular, _SINGULAR_BARY, _SINGULAR_WEIGHTS
+                mesh, A, field, grad, singular, _SINGULAR_BARY, _SINGULAR_WEIGHTS
             ).sum()
         )
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _energy_error_density(mesh, A, field, exact_grad, tris, bary, weights) -> np.ndarray:
+def _exact_grad_at(mesh, exact_grad, tris, bary) -> np.ndarray:
+    """(m, 2, q) exact gradient at the barycentric points ``bary`` (q, 3)
+    of the elements ``tris``."""
+    x, y = _bary_points(mesh, np.take(mesh.triangles, tris, axis=0), bary)
+    g = np.empty((len(tris), 2, len(bary)))
+    g[:, 0], g[:, 1] = exact_grad(x, y)
+    return g
+
+
+def _energy_error_density(mesh, A, field, grad, tris, bary, weights) -> np.ndarray:
     """(m,) squared energy error on each of the elements ``tris`` from the
     barycentric rule ``bary`` (q, 3) with weights ``weights`` (q,) summing
-    to 1.
+    to 1, with ``grad`` (m, 2, q) the exact gradient at its points.
 
     ``field`` is the discrete gradient (nt, 2), constant per element, or the
     mixed flux in vertex-vector form (nt, 3, 2), which the same table
     evaluates at the points.
     """
-    x, y = _bary_points(mesh, np.take(mesh.triangles, tris, axis=0), bary)
-    gx, gy = exact_grad(x, y)
-    gx, gy = np.asarray(gx), np.asarray(gy)  # (m, q)
+    gx, gy = grad[:, 0], grad[:, 1]  # (m, q)
     a = np.take(A.tensor, tris, axis=0)
     if field.ndim == 2:
         grad_h = np.take(field, tris, axis=0)

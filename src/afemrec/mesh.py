@@ -19,6 +19,8 @@ for concurrent use; :func:`refine` returns a new mesh.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -137,6 +139,38 @@ def _lookup(pairs, keys, nv):
     return pos, table[pos] == keys
 
 
+def _edge_geometry(vertices, edges):
+    """``(length, tangent, normal)`` of the ``(s, e)`` edges (n, 2)."""
+    tangent = np.take(vertices, edges[:, 1], axis=0) - np.take(vertices, edges[:, 0], axis=0)
+    length = np.linalg.norm(tangent, axis=1)
+    tangent /= length[:, None]
+    return length, tangent, -_rot90(tangent)  # n = (t_y, -t_x)
+
+
+def _edge_sides(triangles, tri_edges, edges):
+    """``(edge_tris, edge_slot)`` (ne, 2): ``K-`` is the triangle around
+    which ``s -> e`` runs counterclockwise, ``K+`` the other one (-1 on the
+    boundary), each with the edge's local slot in it.  Raises MeshError
+    when a boundary edge has no ``K-`` or two triangles claim one side."""
+    ne = len(edges)
+    F = tri_edges.reshape(-1)
+    # side 0 where the incidence t * 3 + slot starts the edge: s is local
+    # vertex slot + 1
+    at = 2 * F
+    at += triangles[:, [1, 2, 0]].reshape(-1) != np.take(edges[:, 0], F)
+    sides = np.full(2 * ne, -1, dtype=np.int64)
+    sides[at] = np.arange(len(F))
+    sides = sides.reshape(ne, 2)
+    has = sides >= 0
+    if np.count_nonzero(has) != len(F):
+        raise MeshError("two triangles lie on the same side of an edge")
+    if not has[:, 0].all():
+        raise MeshError("inherited edge normal points out of the domain")
+    tris, slots = np.divmod(sides, 3)  # -1 // 3 is -1 already
+    slots[~has] = -1
+    return tris, slots
+
+
 class Mesh:
     """Oriented conforming triangulation.
 
@@ -171,6 +205,11 @@ class Mesh:
     the orientation of their edges.  Pairs that are not edges of this mesh
     are ignored; an edge listed twice takes its first record.  ``origin``
     becomes ``tri_origin``.
+
+    The constructor numbers the edges by sorting the ``(min, max)`` vertex-id
+    pairs of every triangle's edges and finds the records by sorted lookup;
+    :func:`refine` builds its child from the parent instead, with the same
+    numbering and every attribute the same bit for bit.
     """
 
     def __init__(
@@ -187,23 +226,19 @@ class Mesh:
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         _check_arrays(vertices, triangles)
         nv, nt = len(vertices), len(triangles)
-
-        self.vertices = vertices
-        self.triangles = triangles
-        self.tri_region = np.ascontiguousarray(tri_region, dtype=np.int64)
-        self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
-        self.tri_origin = None if origin is None else np.asarray(origin, dtype=np.int64)
-
-        self.tri_area, self.tri_diam, self.grad_lambda = _element_geometry(
-            vertices, triangles
+        self._set_triangles(
+            vertices,
+            triangles,
+            tri_region,
+            refinement_edge,
+            origin,
+            _element_geometry(vertices, triangles),
         )
+
         ukeys, inverse, inc = _unique_edges(triangles, nv)
         ne = len(ukeys)
-        self.tri_edges = inverse.reshape(nt, 3)
-        on_boundary = inc[:, 1] < 0
-
         label = np.zeros(ne, dtype=np.int64)
-        bidx = np.flatnonzero(on_boundary)
+        bidx = np.flatnonzero(inc[:, 1] < 0)
         pos, found = _lookup(boundary[0], ukeys[bidx], nv)
         label[bidx[found]] = np.asarray(boundary[1], dtype=np.int64)[pos[found]]
         found &= np.isin(label[bidx], (DIRICHLET, NEUMANN))
@@ -217,37 +252,41 @@ class Mesh:
         # orientation by counting: a new edge runs counterclockwise around
         # its lower-id triangle; an inherited (s, e) pair wins
         tri0, slot0 = np.divmod(inc[:, 0], 3)
-        start = triangles[tri0, (slot0 + 1) % 3]
-        s_ids = start.copy()
-        e_ids = triangles[tri0, (slot0 + 2) % 3]
+        del inc
+        edges = np.stack(
+            [triangles[tri0, (slot0 + 1) % 3], triangles[tri0, (slot0 + 2) % 3]], axis=1
+        )
+        del tri0, slot0
         inherited = np.asarray(inherited, dtype=np.int64).reshape(-1, 2)
         pos, found = _lookup(inherited, ukeys, nv)
-        s_ids[found] = inherited[pos[found], 0]
-        e_ids[found] = inherited[pos[found], 1]
-        # K- is the triangle around which s -> e runs counterclockwise
-        flip = s_ids != start
-        if np.any(flip & on_boundary):
-            raise MeshError("inherited edge normal points out of the domain")
-        inc = np.where(flip[:, None], inc[:, ::-1], inc)
-        del ukeys, tri0, slot0, start, pos, found, flip
-        has = inc >= 0
-        self.edge_tris = np.where(has, inc // 3, -1)
-        self.edge_slot = np.where(has, inc % 3, -1)
+        edges[found] = inherited[pos[found]]
+        del ukeys, pos, found
+        self._set_edges(inverse.reshape(nt, 3), edges, label, _edge_geometry(vertices, edges))
 
-        self.edges = np.stack([s_ids, e_ids], axis=1)
+    def _set_triangles(self, vertices, triangles, tri_region, refinement_edge, origin, geometry):
+        """Store the vertex and triangle arrays and the triangles'
+        ``geometry``, the ``(area, diam, grad_lambda)`` of
+        :func:`_element_geometry`."""
+        self.vertices = vertices
+        self.triangles = triangles
+        self.tri_region = np.ascontiguousarray(tri_region, dtype=np.int64)
+        self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
+        self.tri_origin = None if origin is None else np.asarray(origin, dtype=np.int64)
+        self.tri_area, self.tri_diam, self.grad_lambda = geometry
+
+    def _set_edges(self, tri_edges, edges, label, geometry):
+        """Store the edge arrays, with ``geometry`` the ``(length, tangent,
+        normal)`` of :func:`_edge_geometry`; derive the sides of every edge
+        and the vertex labels, and check the orientation invariant."""
+        self.tri_edges = tri_edges
+        self.edges = edges
         self.edge_label = label
-        tangent = np.take(vertices, e_ids, axis=0) - np.take(vertices, s_ids, axis=0)
-        del inc, has, s_ids, e_ids
-        self.edge_length = np.linalg.norm(tangent, axis=1)
-        tangent /= self.edge_length[:, None]
-        self.edge_tangent = tangent
-        self.edge_normal = -_rot90(tangent)  # (t_y, -t_x)
+        self.edge_tris, self.edge_slot = _edge_sides(self.triangles, tri_edges, edges)
+        self.edge_length, self.edge_tangent, self.edge_normal = geometry
 
-        vlabel = np.zeros(nv, dtype=np.int64)
-        neu = self.edges[label == NEUMANN]
-        vlabel[neu.ravel()] = NEUMANN
-        dir_ = self.edges[label == DIRICHLET]
-        vlabel[dir_.ravel()] = DIRICHLET
+        vlabel = np.zeros(len(self.vertices), dtype=np.int64)
+        vlabel[edges[label == NEUMANN].ravel()] = NEUMANN
+        vlabel[edges[label == DIRICHLET].ravel()] = DIRICHLET
         self.vertex_label = vlabel
 
         self._check_orientation_invariant()
@@ -308,7 +347,10 @@ class Mesh:
         return 0.5 * (np.take(v, s[eids], axis=0) + np.take(v, e[eids], axis=0))
 
     def tri_barycenters(self):
-        return self.tri_coords().mean(axis=1)
+        c = self.tri_coords()
+        # mean(axis=1) bit for bit (its sum starts from +0.0, which turns an
+        # all -0.0 column into +0.0) at a fraction of the cost
+        return (0.0 + c[:, 0] + c[:, 1] + c[:, 2]) / 3
 
     def eval_vertex_field(self, C, tris, points) -> np.ndarray:
         """Values ``sum_v lambda_v(p) C[t, v]`` of a field in vertex-vector
@@ -339,17 +381,17 @@ class Mesh:
 
     def _check_orientation_invariant(self):
         """Outward normal of K- must equal n_F on every edge (to 1e-13)."""
-        km = self.edge_tris[:, 0]
-        opp = self.triangles[km, self.edge_slot[:, 0]]
-        d = self.edge_midpoints()
-        d -= np.take(self.vertices, opp, axis=0)
-        d *= self.edge_normal
-        out = d.sum(axis=1)
         v = self.vertices
-        d = np.take(v, self.edges[:, 1], axis=0) - np.take(v, self.edges[:, 0], axis=0)
-        d *= self.edge_normal
-        tangential = np.abs(d.sum(axis=1))
-        unit = np.abs((self.edge_normal**2).sum(axis=1) - 1.0)
+        nx, ny = self.edge_normal.T
+        s, e = (np.take(v, ends, axis=0) for ends in self.edges.T)
+        opp = np.take(self.triangles.reshape(-1), 3 * self.edge_tris[:, 0] + self.edge_slot[:, 0])
+        # the two-term dot products by column: a sum over a length-2 axis
+        # is many times slower
+        d = 0.5 * (s + e) - np.take(v, opp, axis=0)
+        out = d[:, 0] * nx + d[:, 1] * ny
+        d = e - s
+        tangential = np.abs(d[:, 0] * nx + d[:, 1] * ny)
+        unit = np.abs(nx * nx + ny * ny - 1.0)
         if (
             np.any(out <= 0.0)
             or np.any(tangential > 1e-13 * self.edge_length)
@@ -455,6 +497,15 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     each edge are the parent's bit for bit, and an adaptive run carries the
     element blocks of such triangles over (see
     :class:`afemrec.basis.ElementCarry`).
+
+    The child is built from the parent, not from a raw triangle list: kept
+    triangles take their geometry rows from the parent, and bisection
+    carries each triangle's parent edge ids, which give the surviving
+    edges' ids, ``(s, e)`` pairs, labels and geometry; only the new edges
+    are sorted and merged in (see :func:`_child_edges`).  The result equals
+    the :class:`Mesh` built from the child's triangles with the parent's
+    records, attribute for attribute and bit for bit, and the orientation
+    invariant is checked on every edge.
     Returns ``mesh`` itself when nothing is marked; raises MeshError unless
     the marks are integer element ids of ``mesh``.
     """
@@ -483,26 +534,118 @@ def refine(mesh: Mesh, marked_elements) -> Mesh:
     cut_ids = np.flatnonzero(cut)
     mid = np.full(ne + 1, -1, dtype=np.int64)
     mid[cut_ids] = nv + np.arange(len(cut_ids))
-    new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints(cut_ids)])
-
-    # surviving edges keep their (s, e) pair and label, both halves of a cut
-    # boundary edge take its label, and Mesh ignores the cut edges' records
-    bnd = np.flatnonzero(mesh.edge_label != INTERIOR)
-    bcut = bnd[cut[bnd]]
-    halves = np.column_stack([mesh.edges[bcut].T.ravel(), np.tile(mid[bcut], 2)])
-    pairs = np.concatenate([mesh.edges[bnd], halves])
-    labels = np.concatenate([mesh.edge_label[bnd], np.tile(mesh.edge_label[bcut], 2)])
+    vertices = np.vstack([mesh.vertices, mesh.edge_midpoints(cut_ids)])
 
     # the passes' temporaries are gone before the new mesh is built
-    triangles, region, ref, origin = _bisect(mesh, cut, mid)
-    return Mesh(new_vertices, triangles, region, ref, (pairs, labels), mesh.edges, origin)
+    triangles, region, ref, origin, eids = _bisect(mesh, cut, mid)
+    child = Mesh.__new__(Mesh)
+    geometry = _child_geometry(mesh, vertices, triangles, origin)
+    child._set_triangles(vertices, triangles, region, ref, origin, geometry)
+    child._set_edges(*_child_edges(mesh, cut_ids, vertices, triangles, eids))
+    return child
+
+
+def _merge_rows(old, keep, at_old, new, at_new):
+    """One array of ``len(at_old) + len(at_new)`` rows: the rows ``keep``
+    of ``old`` at ``at_old`` and the rows of ``new`` at ``at_new``.
+
+    Each row moves as one raw item, which numpy scatters several times
+    faster than a row of a few numbers, and bit for bit.
+    """
+    out = np.empty((len(at_old) + len(at_new), *old.shape[1:]), dtype=old.dtype)
+    size = math.prod(old.shape[1:])
+    row = np.dtype((np.void, size * old.itemsize))
+    # out is contiguous, so its items are a view that writes it
+    out_items, old_items, new_items = (
+        np.ascontiguousarray(a).reshape(len(a), size).view(row)[:, 0] for a in (out, old, new)
+    )
+    out_items[at_old] = np.take(old_items, keep)
+    out_items[at_new] = new_items
+    return out
+
+
+def _child_geometry(parent: Mesh, vertices, triangles, origin):
+    """``(area, diam, grad_lambda)`` of the triangles of a refinement of
+    ``parent``: a kept triangle (``origin >= 0``) takes its parent's rows,
+    which are its own bit for bit, and only the new ones are computed."""
+    kept = np.flatnonzero(origin >= 0)
+    new = np.flatnonzero(origin < 0)
+    fresh = _element_geometry(vertices, np.take(triangles, new, axis=0))
+    old = (parent.tri_area, parent.tri_diam, parent.grad_lambda)
+    return tuple(_merge_rows(o, origin[kept], kept, f, new) for o, f in zip(old, fresh))
+
+
+def _child_edges(parent: Mesh, cut_ids, vertices, triangles, eids):
+    """``(tri_edges, edges, edge_label, (length, tangent, normal))`` of the
+    mesh that bisection of the ``parent`` edges ``cut_ids`` made, with
+    ``eids`` the parent edge id of each triangle's edges (-1 for the edges
+    bisection created).
+
+    Edges are numbered as :class:`Mesh` numbers them, by their
+    ``(min, max)`` vertex-id pair, without sorting the surviving ones: an
+    edge key ``min * nv + max`` with ``max < nv`` orders the pairs
+    lexicographically whatever the base, so the parent's surviving edges
+    are already in order.  Only the new edges (the halves of the cut edges
+    and the bisectors) are sorted, then merged in.  A surviving edge keeps
+    its ``(s, e)`` pair, label and geometry; a new one runs counterclockwise
+    around its lower-id triangle, and one with a single side is a half of
+    a cut boundary edge, whose label it takes.
+    """
+    nv_parent, nv = parent.n_vertices, len(vertices)
+    survive = np.ones(parent.n_edges, dtype=bool)
+    survive[cut_ids] = False
+    survive = np.flatnonzero(survive)
+
+    # the incidences t * 3 + slot of the new edges, grouped by edge; the
+    # stable sort keeps the lower triangle first in each group
+    inc = np.flatnonzero(eids.reshape(-1) < 0)
+    tri, slot = np.divmod(inc, 3)
+    ends = np.stack([triangles[tri, (slot + 1) % 3], triangles[tri, (slot + 2) % 3]], axis=1)
+    del tri, slot
+    keys = _encode(ends[:, 0], ends[:, 1], nv)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    new_ends = ends[order[first]]
+    del ends
+
+    # merge: each new edge goes after the surviving edges of lower key
+    old_keys = _encode(*np.take(parent.edges, survive, axis=0).T, nv)
+    at_new = np.searchsorted(old_keys, keys[first]) + np.arange(len(first))
+    del keys, old_keys
+    is_new = np.zeros(len(survive) + len(first), dtype=bool)
+    is_new[at_new] = True
+    at_old = np.flatnonzero(~is_new)
+    del is_new
+    # child edge id by parent edge id; -1 (an edge bisection created) is
+    # filled in from the groups
+    child_id = np.full(parent.n_edges + 1, -1, dtype=np.int64)
+    child_id[survive] = at_old
+    tri_edges = np.take(child_id, eids)
+    del child_id
+    np.put(tri_edges, inc[order], at_new[np.cumsum(head) - 1])
+    del inc, head
+
+    edges = _merge_rows(parent.edges, survive, at_old, new_ends, at_new)
+    new_label = np.zeros(len(first), dtype=np.int64)
+    # the midpoint of a half, its higher vertex id, names the cut edge
+    single = np.diff(first, append=len(order)) == 1
+    cut_of = cut_ids[new_ends[single].max(axis=1) - nv_parent]
+    new_label[single] = parent.edge_label[cut_of]
+    label = _merge_rows(parent.edge_label, survive, at_old, new_label, at_new)
+    old = (parent.edge_length, parent.edge_tangent, parent.edge_normal)
+    fresh = _edge_geometry(vertices, new_ends)
+    geometry = tuple(_merge_rows(o, survive, at_old, f, at_new) for o, f in zip(old, fresh))
+    return tri_edges, edges, label, geometry
 
 
 def _bisect(mesh: Mesh, cut, mid):
-    """``(triangles, region, refinement_edge, origin)`` after bisecting every
-    triangle of ``mesh`` across its refinement edge while that edge is
-    ``cut`` (indexed by edge id), at the vertex ``mid`` of that edge; at
-    most three passes deep.
+    """``(triangles, region, refinement_edge, origin, eids)`` after
+    bisecting every triangle of ``mesh`` across its refinement edge while
+    that edge is ``cut`` (indexed by edge id), at the vertex ``mid`` of that
+    edge; at most three passes deep.
 
     Each triangle carries the ids of its edges in ``mesh`` (-1 for the
     edges bisection creates) and its ``origin``, the id of the triangle of
@@ -519,7 +662,7 @@ def _bisect(mesh: Mesh, cut, mid):
         rows = np.arange(len(verts))
         split = cut[eids[rows, ref]]
         if not split.any():
-            return verts, region, ref, origin
+            return verts, region, ref, origin, eids
         sp = np.flatnonzero(split)
         k = ref[sp]
         p, b, c = (verts[sp, (k + j) % 3] for j in range(3))

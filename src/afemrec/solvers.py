@@ -324,7 +324,9 @@ def _solve_stiffness(mesh, A, dofs, scale, b, u, fixed, what, carry, spd):
     reaches the factorization, so neither the full matrix nor its triplets
     are alive while the sparse factors are.
     """
-    free = np.setdiff1d(np.arange(len(b)), fixed)
+    free = np.ones(len(b), dtype=bool)
+    free[fixed] = False
+    free = np.flatnonzero(free)
     if free.size:
         K = _assemble(_p1_stiffness(mesh, A, carry), dofs, len(b))[free]
         # a power-of-two scale of the summed entries equals the sum of the

@@ -2,9 +2,10 @@
 to its refinement equal a fresh computation bit for bit.
 
 A triangle that refinement kept, with a bitwise equal coefficient tensor
-row, takes its parent's P1 / Crouzeix-Raviart stiffness block and side Gram
-blocks; every other block is computed.  Each step below compares the
-carried results with the same kernels called with nothing carried.
+row, takes its parent's P1 / Crouzeix-Raviart stiffness block, side Gram
+blocks, exact-gradient samples and oscillation term; every other block is
+computed.  Each step below compares the carried results with the same
+kernels called with nothing carried.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from afemrec.basis import ElementCarry
+from afemrec.estimators import oscillation, true_energy_error
 from afemrec.mesh import INTERIOR, Mesh, initial_kellogg_mesh, refine
 from afemrec.recovery import patch_weights
 from afemrec.solvers import CoefficientField, _p1_stiffness, solve_conforming, solve_nonconforming
@@ -23,12 +25,18 @@ FAMILIES = ("rt", "bdm", "ne", "nd")
 BASES = {"kellogg": lambda: initial_kellogg_mesh(4), "mixed-square": _mixed_square}
 
 
+def _exact_grad(x, y):
+    return np.cos(x) * np.exp(y), np.sin(3.0 * y) + x
+
+
 class Run:
     """One carry per consumer, as in an adaptive run: the recoveries with
-    the stiffness blocks, a P1 solve and a Crouzeix-Raviart solve."""
+    the stiffness blocks, a P1 solve, a Crouzeix-Raviart solve, and the
+    true error with the oscillation, which needs a scalar coefficient."""
 
     def __init__(self):
         self.carries = [ElementCarry() for _ in range(3)]
+        self.estimates = ElementCarry()
         self.data = _data()
 
     def step(self, mesh, tensor):
@@ -50,6 +58,23 @@ class Run:
         assert got.tobytes() == solve_conforming(mesh, A, self.data).u_vertex.tobytes()
         got = solve_nonconforming(mesh, A, self.data, cr).u_edge
         assert got.tobytes() == solve_nonconforming(mesh, A, self.data).u_edge.tobytes()
+
+        # a kept triangle's scalar coefficient is as bitwise equal as its tensor
+        iso = CoefficientField.isotropic(mesh, A.tensor[:, 0, 0])
+        self.estimates.advance(mesh, iso)
+        sol = solve_conforming(mesh, iso, self.data)
+        fresh = ElementCarry()
+        fresh.advance(mesh, iso)
+        err = [true_energy_error(mesh, iso, sol, _exact_grad, [(0.0, 0.0)], c)
+               for c in (self.estimates, fresh, None)]
+        assert len({e.hex() for e in err}) == 1
+        h_fk = [oscillation(mesh, iso, self.data.f, c)[1].tobytes()
+                for c in (self.estimates, fresh, None)]
+        assert len(set(h_fk)) == 1
+        for name, shape in (("exact-grad", (mesh.n_triangles, 2, 7)),
+                            ("oscillation", (mesh.n_triangles,))):
+            got = self.estimates.blocks(name, shape)[0]
+            assert got.tobytes() == fresh.blocks(name, shape)[0].tobytes(), name
 
 
 def _inherit(child, tensor, rng):

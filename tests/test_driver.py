@@ -219,7 +219,7 @@ def test_uniform_run(kellogg):
 def test_oscillation_errors_propagate(kellogg, monkeypatch):
     # only a tensor coefficient leaves the oscillation undefined; any other
     # failure of the term (faulty data, a broadcasting error) must surface
-    def faulty(mesh, A, f):
+    def faulty(mesh, A, f, carry=None):
         raise ValueError("faulty source term")
 
     monkeypatch.setattr(afemrec.driver, "oscillation", faulty)

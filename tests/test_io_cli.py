@@ -160,6 +160,26 @@ def test_cli_output_bytes_pinned(tmp_path, method, recovery):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of the outputs of the full-size run whose final figures perfbench
+# stores as the seed-0 reference of kellogg-conforming-rt
+BENCHMARK_RUN_BYTES = {
+    "history.csv": "af55327b8ed708128024fd657053d52b6dfaea3a5cc406fb7dd24b40909c2c15",
+    "mesh_final.txt": "fbef77d047b186d2aeb0367440e6fb9e86a832fcfa2dc79d7601f987abb30115",
+    "mesh_final.svg": "91e4d6e99186dacfb6df55ce24482a9984ac0a8970aff22d32e86bef8445dcb3",
+}
+
+
+def test_cli_benchmark_run_bytes_pinned(tmp_path):
+    out = tmp_path / "out"
+    argv = ["--method", "conforming", "--recovery", "rt", "--theta", "0.5",
+            "--max-dof", "25000", "--quiet", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read_history_csv(out / "history.csv")
+    assert (len(rows), rows[-1]["dofs"]) == (92, 25116)
+    for name, digest in BENCHMARK_RUN_BYTES.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_parse_cli_defaults():
     cfg = parse_cli([])
     assert cfg.afem.problem == "kellogg"
@@ -236,6 +256,24 @@ def test_main_bad_initial_mesh_is_a_usage_error(argv, tmp_path, capsys):
     assert err.startswith("afemrec: error: --initial-n") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_main_unusable_out_is_a_usage_error_before_the_run(under, tmp_path, capsys, monkeypatch):
+    from afemrec import cli
+
+    entered = []
+    monkeypatch.setattr(cli, "run_afem", lambda cfg: entered.append(cfg))
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "out" if under else blocker
+    assert main(["--problem", "affine", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"afemrec: error: --out {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not entered
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert blocker.read_text() == "keep\n"
 
 
 def test_main_determinism_small(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afemrec.mesh import INTERIOR, build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
+from afemrec.mesh import INTERIOR, Mesh, build_mesh, initial_kellogg_mesh, refine, unit_square_mesh
 
 
 def _mixed_square():
@@ -146,6 +146,53 @@ def test_orientation_contract_under_random_nvb(base, data):
                 assert tuple(child.edges[F]) == tuple(mesh.edges[P])
                 assert child.edge_normal[F].tobytes() == mesh.edge_normal[P].tobytes()
                 assert child.edge_label[F] == mesh.edge_label[P]
+        mesh = child
+
+
+def rebuilt(parent, child):
+    """``child`` built from scratch by :class:`Mesh`, with the records a
+    refinement of ``parent`` passes on: the parent's boundary edges and
+    both halves of each cut one with its label, and the parent's ``(s, e)``
+    pairs, which a surviving edge keeps."""
+    bnd = np.flatnonzero(parent.edge_label != INTERIOR)
+    kept = set(_edge_index(child))
+    at = {tuple(p): i for i, p in enumerate(child.vertices.tolist())}
+    pairs, labels = [parent.edges[bnd]], [parent.edge_label[bnd]]
+    for F in bnd:
+        s, e = parent.edges[F].tolist()
+        if (min(s, e), max(s, e)) not in kept:
+            m = at[tuple(parent.edge_midpoints([F])[0].tolist())]
+            pairs.append([[s, m], [m, e]])
+            labels.append(parent.edge_label[[F, F]])
+    return Mesh(
+        child.vertices,
+        child.triangles,
+        child.tri_region,
+        child.refinement_edge,
+        (np.concatenate(pairs), np.concatenate(labels)),
+        parent.edges,
+        child.tri_origin,
+    )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.sampled_from(sorted(BASES)), data=st.data())
+def test_refined_mesh_equals_the_mesh_built_from_its_records(base, data):
+    # refine builds the child from its parent (kept geometry, surviving
+    # edges merged with the sorted new ones); Mesh sorts every edge afresh
+    mesh = BASES[base]()
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        marked = data.draw(
+            st.lists(st.integers(0, mesh.n_triangles - 1), min_size=1, max_size=6),
+            label="marked",
+        )
+        child = refine(mesh, marked)
+        ref = rebuilt(mesh, child)
+        assert vars(child).keys() == vars(ref).keys()
+        for name, want in vars(ref).items():
+            got = getattr(child, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
         mesh = child
 
 
